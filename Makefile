@@ -64,20 +64,20 @@ stoch-smoke:
 	grep -q "pred_rel_err" stoch-j1.txt
 	@echo "stoch smoke OK: cross-jobs identical, predictor fitted"
 
-# Streaming-observability smoke: (1) a long-horizon n=10⁴ run with the
-# full online pipeline attached — flight recorder, deterministic
-# progress stream, online span/series folds, no event buffering; (2) the
-# streaming -metrics digest must be byte-identical to the batch one
-# across -jobs values; (3) the steady-state sink path must report
-# 0 B/op. The unit twins live in internal/obs and internal/experiment.
+# Observability smoke: (1) a long-horizon n=10⁴ run with the full
+# online pipeline attached — flight recorder, deterministic progress
+# stream, online span/series folds, no event buffering; (2) the
+# -metrics digest at -jobs 4 must be byte-identical to the committed
+# golden (cmd/rtsim TestCLIGoldens pins the rest); (3) the steady-state
+# sink path must report 0 B/op. The unit twins live in internal/obs and
+# internal/experiment.
 obs-smoke:
 	$(GO) test -run TestObsSmoke -v ./internal/experiment/
-	$(GO) run ./cmd/rtsim -profile quick -jobs 1 -metrics > obs-batch.txt
-	$(GO) run ./cmd/rtsim -profile quick -jobs 4 -stream -metrics > obs-stream.txt
-	cmp obs-batch.txt obs-stream.txt
+	$(GO) run ./cmd/rtsim -profile quick -jobs 4 -metrics > obs-metrics.txt
+	cmp obs-metrics.txt cmd/rtsim/testdata/quick_metrics.txt
 	$(GO) test -run NONE -bench BenchmarkPipelineObserve -benchmem ./internal/obs/ | tee obs-bench.txt
 	grep -q "0 B/op" obs-bench.txt
-	@echo "obs smoke OK: streaming digest byte-identical to batch, sink path 0 B/op"
+	@echo "obs smoke OK: digest byte-identical to the golden, sink path 0 B/op"
 
 # Trace the canonical workload on the uniprocessor engine and export it
 # in the Chrome trace-event format: drag trace.json onto ui.perfetto.dev

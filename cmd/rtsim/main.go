@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceLimit := fs.Int("trace-limit", 0, "keep at most `n` trace events (0 = unbounded); drops are counted, never silent")
 	flight := fs.Int("flight", 0, "attach a flight recorder retaining the last `n` events to the traced run; dumps FILE.flight.json on the first anomaly")
 	progress := fs.Bool("progress", false, "print deterministic virtual-time progress lines to stderr during the traced run")
-	stream := fs.Bool("stream", false, "fold -metrics/-report online (bounded memory) instead of recording full event streams; output is byte-identical")
 	checkBounds := fs.Bool("check-bounds", false, "run the Theorem 2/3 bound-check suite; exit 1 on any violation")
 	faults := fs.String("faults", "", "inject a deterministic fault plan into traced runs: off, light, heavy, or key=value pairs (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 0, "override the fault plan's seed (0 keeps the plan's own)")
@@ -107,10 +106,6 @@ observability:
   -progress            stream deterministic progress lines (virtual time,
                        commits, retries, attempt p99, live jobs, flight
                        occupancy) to stderr while the traced run executes
-  -stream              fold -metrics and -report online through the
-                       internal/obs pipeline — O(windows + live jobs)
-                       memory instead of O(events) — with byte-identical
-                       output
   -check-bounds        check observed retries and sojourns against the
                        Theorem 2/3 bounds across the trace suite; any
                        violation exits 1
@@ -252,11 +247,9 @@ experiments:
 		if len(args) == 1 && args[0] == "all" {
 			figIDs = experiment.Names()
 		}
-		// -stream swaps the post-hoc builder for the online pipeline;
-		// both render byte-identically (pinned by the experiment tests).
 		if *metrics {
 			// The digest skips the figure sweeps: it is the fast look.
-			digest, err := artifact.BuildMetrics(p, *stream)
+			digest, err := artifact.BuildMetrics(p, false)
 			if err != nil {
 				fmt.Fprintf(stderr, "rtsim: metrics: %v\n", err)
 				return 1
@@ -267,7 +260,7 @@ experiments:
 			}
 		}
 		if *reportDir != "" {
-			if err := writeReport(p, *stream, *reportDir, figIDs, stdout); err != nil {
+			if err := writeReport(p, *reportDir, figIDs, stdout); err != nil {
 				fmt.Fprintf(stderr, "rtsim: report: %v\n", err)
 				return 1
 			}
@@ -324,13 +317,12 @@ experiments:
 	return exitCode
 }
 
-// writeReport builds the canonical-workload report (with the batch or
-// streaming builder) via the shared artifact path — the same bytes the
-// rtsimd daemon serves — and writes every file into dir. The stdout
-// listing and every file are byte-identical for any -jobs value and
-// either builder.
-func writeReport(p experiment.Profile, stream bool, dir string, figIDs []string, stdout io.Writer) error {
-	set, err := artifact.BuildReportSet(p, figIDs, stream)
+// writeReport builds the canonical-workload report via the shared
+// artifact path — the same bytes the rtsimd daemon serves — and writes
+// every file into dir. The stdout listing and every file are
+// byte-identical for any -jobs value.
+func writeReport(p experiment.Profile, dir string, figIDs []string, stdout io.Writer) error {
+	set, err := artifact.BuildReportSet(p, figIDs, false)
 	if err != nil {
 		return err
 	}

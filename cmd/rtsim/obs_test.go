@@ -4,49 +4,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
-
-// TestStreamMetricsMatchesBatch is the CLI-level identity check: the
-// -stream digest must be byte-equal to the batch one, plain and under
-// fault injection, for serial and parallel execution alike.
-func TestStreamMetricsMatchesBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("folds the quick trace grid four times; skipped with -short")
-	}
-	for _, faults := range []string{"", "heavy"} {
-		name := "plain"
-		if faults != "" {
-			name = "faults-" + faults
-		}
-		t.Run(name, func(t *testing.T) {
-			digest := func(jobs int, stream bool) string {
-				t.Helper()
-				args := []string{"-profile", "quick", "-jobs", strconv.Itoa(jobs), "-metrics"}
-				if stream {
-					args = append(args, "-stream")
-				}
-				if faults != "" {
-					args = append(args, "-faults", faults)
-				}
-				var out, errb strings.Builder
-				if code := run(args, &out, &errb); code != 0 {
-					t.Fatalf("rtsim %v exited %d\nstderr: %s", args, code, errb.String())
-				}
-				return out.String()
-			}
-			batch := digest(1, false)
-			if stream := digest(1, true); stream != batch {
-				t.Fatalf("-stream digest differs from batch:\n--- batch\n%s\n--- stream\n%s", batch, stream)
-			}
-			if stream := digest(4, true); stream != batch {
-				t.Fatal("-stream digest differs between -jobs 1 batch and -jobs 4 stream")
-			}
-		})
-	}
-}
 
 // TestTraceFlightAndProgress drives the full live-introspection path: a
 // fault-injected traced run with a flight recorder and progress

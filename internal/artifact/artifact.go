@@ -231,15 +231,12 @@ func (s *ReportSet) Names() []string {
 	return names
 }
 
-// BuildReportSet builds the canonical-workload report (batch or
-// streaming builder — both render byte-identically) and renders every
-// artifact in memory.
-func BuildReportSet(p experiment.Profile, figIDs []string, stream bool) (*ReportSet, error) {
-	build := experiment.BuildReport
-	if stream {
-		build = experiment.BuildReportStream
-	}
-	rep, err := build(p, figIDs)
+// BuildReportSet builds the canonical-workload report and renders every
+// artifact in memory. The bool is ignored: it once chose between two
+// builders that rendered identical bytes, and stays so existing callers
+// keep compiling.
+func BuildReportSet(p experiment.Profile, figIDs []string, _ bool) (*ReportSet, error) {
+	rep, err := experiment.BuildReport(p, figIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -256,13 +253,10 @@ func BuildReportSet(p experiment.Profile, figIDs []string, stream bool) (*Report
 }
 
 // BuildMetrics folds the canonical workload on every simulator × mode
-// and renders the -metrics text digest.
-func BuildMetrics(p experiment.Profile, stream bool) ([]byte, error) {
-	build := experiment.BuildReport
-	if stream {
-		build = experiment.BuildReportStream
-	}
-	rep, err := build(p, nil)
+// and renders the -metrics text digest. The bool is ignored, as in
+// BuildReportSet.
+func BuildMetrics(p experiment.Profile, _ bool) ([]byte, error) {
+	rep, err := experiment.BuildReport(p, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,10 @@ import (
 
 	"repro/internal/metrics/hist"
 	"repro/internal/metrics/ops"
-	"repro/internal/metrics/series"
+	"repro/internal/metrics/predict"
+	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/rtime"
 	"repro/internal/runner"
-	"repro/internal/trace"
 	"repro/internal/trace/check"
 	"repro/internal/trace/span"
 )
@@ -34,16 +33,18 @@ func newRetryHist() *hist.Hist { return hist.Exp2(1 << 12) }
 func newSojournHist() *hist.Hist { return hist.Exp2(1 << 26) }
 
 // BuildReport runs the canonical trace workload across every simulator
-// × mode × profile seed, folds each combo's traces into distribution
-// histograms, a virtual-time series (first seed), and the Theorem 2/3
-// bound check, then attaches the requested figure tables. Cells fan out
-// on runner.Map and merge by index, so the result — and everything
-// rendered from it — is identical for any p.Jobs value.
+// × mode × profile seed and folds each cell online (foldTrace) into
+// distribution histograms, per-operation retry telemetry, the Theorem
+// 2/3 bound check and, for the first seed of each combo, a virtual-time
+// series; then it attaches the requested figure tables. No cell buffers
+// its events: memory per cell is O(series windows + live jobs). Cells
+// fan out on runner.Map and merge by index, so the result — and
+// everything rendered from it — is identical for any p.Jobs value.
 func BuildReport(p Profile, figIDs []string) (*report.Report, error) {
 	type cell struct {
 		combo int
 		seed  int64
-		first bool // first seed of its combo: keeps events for the series
+		first bool // first seed of its combo: folds the series
 	}
 	var cells []cell
 	for ci := range reportCombos {
@@ -52,37 +53,34 @@ func BuildReport(p Profile, figIDs []string) (*report.Report, error) {
 		}
 	}
 	type outcome struct {
-		spans   []span.JobSpan
-		horizon rtime.Time
-		events  []trace.Event // first seed only
-		check   *check.Report
-		ops     *ops.Set // per-operation retry telemetry, every seed
+		jobs, completed, aborted, shed int64
+		retries, sojourn               *hist.Hist
+		res                            *obs.Results
 	}
 	outs, err := runner.Map(p.Jobs, len(cells), func(i int) (outcome, error) {
 		c := cells[i]
 		combo := reportCombos[c.combo]
-		tr, err := RunTrace(p, combo.sim, combo.lockBased, c.seed)
-		if err != nil {
-			return outcome{}, err
-		}
-		spans, err := tr.Spans()
-		if err != nil {
-			return outcome{}, err
-		}
-		o := outcome{spans: spans, horizon: tr.Horizon, ops: ops.FromEvents(tr.Events)}
-		if c.first {
-			o.events = tr.Events
-		}
-		// The global engine's commit-time validation retries fall outside
-		// Theorem 2's model (see internal/gsim), so its runs carry no
-		// bound check; uni and multi check every seed's spans.
-		if combo.sim != TraceSimGlobal {
-			rep, err := check.Check(spans, tr.Tasks, boundCheckConfig(p, combo.lockBased, tr.Tasks))
-			if err != nil {
-				return outcome{}, err
+		o := outcome{retries: newRetryHist(), sojourn: newSojournHist()}
+		// Jobs stream through as they depart; only the histograms and
+		// counters stay behind.
+		res, err := foldTrace(p, combo.sim, combo.lockBased, c.seed, c.first, func(s *span.JobSpan) {
+			o.jobs++
+			o.retries.Add(s.Retries)
+			switch s.Outcome {
+			case span.Completed:
+				o.completed++
+				o.sojourn.Add(s.Sojourn().Micros())
+			case span.Aborted:
+				o.aborted++
 			}
-			o.check = rep
+			if s.Shed {
+				o.shed++
+			}
+		})
+		if err != nil {
+			return outcome{}, err
 		}
+		o.res = res
 		return o, nil
 	})
 	if err != nil {
@@ -115,39 +113,22 @@ func BuildReport(p Profile, figIDs []string) (*report.Report, error) {
 			}
 			o := outs[i]
 			run.Seeds = append(run.Seeds, c.seed)
-			for k := range o.spans {
-				s := &o.spans[k]
-				retries.Add(s.Retries)
-				switch s.Outcome {
-				case span.Completed:
-					run.Completed++
-					sojourn.Add(s.Sojourn().Micros())
-				case span.Aborted:
-					run.Aborted++
-				}
-				if s.Shed {
-					run.Shed++
-				}
-				run.Jobs++
+			run.Jobs += o.jobs
+			run.Completed += o.completed
+			run.Aborted += o.aborted
+			run.Shed += o.shed
+			if err := retries.Merge(o.retries); err != nil {
+				return nil, fmt.Errorf("experiment: merge %s retry hist: %w", run.Name, err)
 			}
-			merged = mergeChecks(merged, o.check)
-			if o.ops != nil {
-				if err := opSet.Merge(o.ops); err != nil {
-					return nil, fmt.Errorf("experiment: merge %s op telemetry: %w", run.Name, err)
-				}
+			if err := sojourn.Merge(o.sojourn); err != nil {
+				return nil, fmt.Errorf("experiment: merge %s sojourn hist: %w", run.Name, err)
+			}
+			merged = mergeChecks(merged, o.res.Check)
+			if err := opSet.Merge(o.res.Ops); err != nil {
+				return nil, fmt.Errorf("experiment: merge %s op telemetry: %w", run.Name, err)
 			}
 			if c.first {
-				cpus := 1
-				if combo.sim != TraceSimUni {
-					cpus = TraceCPUs
-				}
-				sr, err := series.FromEvents(o.events, o.horizon, series.Config{
-					Window: series.WindowFor(o.horizon, 0), CPUs: cpus,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: fold %s series: %w", run.Name, err)
-				}
-				run.Series = sr
+				run.Series = o.res.Series
 			}
 		}
 		finishRun(&run, combo.lockBased, merged, opSet, retries, sojourn)
@@ -157,6 +138,55 @@ func BuildReport(p Profile, figIDs []string) (*report.Report, error) {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// finishRun attaches a combo's merged fold products to its report run:
+// the bound overlays extracted from the merged check, the two canonical
+// distributions, the op-telemetry panel, and the throughput overlay.
+func finishRun(run *report.Run, lockBased bool, merged *check.Report, opSet *ops.Set, retries, sojourn *hist.Hist) {
+	retryBound, sojournBound := int64(-1), int64(-1)
+	if merged != nil {
+		for _, tr := range merged.Tasks {
+			if !lockBased && tr.RetryBound > retryBound {
+				retryBound = tr.RetryBound
+			}
+			if b := tr.SojournBound.Micros(); tr.SojournBound >= 0 && b > sojournBound {
+				sojournBound = b
+			}
+		}
+	}
+	run.Dists = []report.Dist{
+		{Name: "retries", Title: "retries per job", Unit: "retries",
+			Hist: retries, Bound: retryBound, BoundLabel: "theorem 2 bound"},
+		{Name: "sojourn_us", Title: "sojourn time of completed jobs", Unit: "µs",
+			Hist: sojourn, Bound: sojournBound, BoundLabel: "theorem 3 bound"},
+	}
+	run.Check = merged
+	run.OpDists = opDists(opSet)
+	if run.Series != nil {
+		run.Pred = predict.FromSeries(run.Series)
+	}
+}
+
+// attachFigs appends the requested figure tables to the report.
+func attachFigs(rep *report.Report, p Profile, figIDs []string) error {
+	for _, id := range figIDs {
+		r, ok := Registry[id]
+		if !ok {
+			return fmt.Errorf("experiment: unknown experiment %q for report", id)
+		}
+		tables, err := r(p)
+		if err != nil {
+			return fmt.Errorf("experiment: report fig %s: %w", id, err)
+		}
+		for _, t := range tables {
+			rep.Figs = append(rep.Figs, report.Table{
+				ID: t.ID, Title: t.Title, Note: t.Note,
+				Columns: t.Columns, Rows: t.Rows,
+			})
+		}
+	}
+	return nil
 }
 
 // opDists renders a merged ops.Set as the report's retry-tail panel:

@@ -74,31 +74,38 @@ func TestBuildReport(t *testing.T) {
 }
 
 // TestBuildReportJobsInvariant: the rendered artifacts are byte-equal
-// for serial and parallel execution.
+// for serial and parallel execution, plain and under fault injection
+// and stochastic scheduling.
 func TestBuildReportJobsInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the trace grid twice")
+		t.Skip("runs the trace grid twice per profile")
 	}
-	render := func(jobs int) (string, string) {
-		rep, err := BuildReport(testReportProfile(jobs), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var txt, html bytes.Buffer
-		if err := rep.WriteText(&txt); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteHTML(&html); err != nil {
-			t.Fatal(err)
-		}
-		return txt.String(), html.String()
-	}
-	txt1, html1 := render(1)
-	txt4, html4 := render(4)
-	if txt1 != txt4 {
-		t.Fatalf("-metrics digest differs between -jobs 1 and 4:\n%s\n---\n%s", txt1, txt4)
-	}
-	if html1 != html4 {
-		t.Fatal("HTML report differs between -jobs 1 and 4")
+	for _, name := range []string{"plain", "fault", "stoch"} {
+		t.Run(name, func(t *testing.T) {
+			render := func(jobs int) (string, string) {
+				p := traceProfiles(t)[name]
+				p.Jobs = jobs
+				rep, err := BuildReport(p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var txt, html bytes.Buffer
+				if err := rep.WriteText(&txt); err != nil {
+					t.Fatal(err)
+				}
+				if err := rep.WriteHTML(&html); err != nil {
+					t.Fatal(err)
+				}
+				return txt.String(), html.String()
+			}
+			txt1, html1 := render(1)
+			txt4, html4 := render(4)
+			if txt1 != txt4 {
+				t.Fatalf("-metrics digest differs between -jobs 1 and 4:\n%s\n---\n%s", txt1, txt4)
+			}
+			if html1 != html4 {
+				t.Fatal("HTML report differs between -jobs 1 and 4")
+			}
+		})
 	}
 }

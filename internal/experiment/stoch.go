@@ -7,13 +7,13 @@ import (
 	"repro/internal/metrics/ops"
 	"repro/internal/metrics/predict"
 	"repro/internal/metrics/series"
+	"repro/internal/obs"
 	"repro/internal/rtime"
 	"repro/internal/rua"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stoch"
 	"repro/internal/task"
-	"repro/internal/trace"
 	"repro/internal/uam"
 )
 
@@ -125,7 +125,12 @@ func StochSweep(p Profile) ([]*Table, error) {
 			sched = rua.NewLockFree()
 			tasks = privatizeObjects(template, w.NumObjects)
 		}
-		rec := trace.NewRecorder(0)
+		pipe, err := obs.NewPipeline(obs.Config{
+			Horizon: horizon, CPUs: 1, SeriesWindow: series.WindowFor(horizon, 0),
+		})
+		if err != nil {
+			return cell{}, err
+		}
 		res, err := sim.Run(sim.Config{
 			Tasks: tasks, Scheduler: sched, Mode: simMode,
 			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
@@ -133,22 +138,20 @@ func StochSweep(p Profile) ([]*Table, error) {
 			// Conflict-driven retries (not the conservative any-preemption
 			// rule): the wait-free stub must measure exactly zero failures,
 			// and the predictor's x-axis should count real conflicts.
-			ConservativeRetry: false, Stoch: dists[di].plan, Observer: rec.Record,
+			ConservativeRetry: false, Stoch: dists[di].plan, Observer: pipe.Observer(),
 		})
 		if err != nil {
 			return cell{}, err
 		}
-		sr, err := series.FromEvents(rec.Events(), horizon, series.Config{
-			Window: series.WindowFor(horizon, 0), CPUs: 1,
-		})
+		fold, err := pipe.Finish()
 		if err != nil {
 			return cell{}, err
 		}
-		overlay := predict.FromSeries(sr)
+		overlay := predict.FromSeries(fold.Series)
 		c := cell{
 			stats:    metrics.Analyze(res),
 			relErr:   overlay.RelErr,
-			ops:      ops.FromEvents(rec.Events()),
+			ops:      fold.Ops,
 			preempts: res.CtxSwitches,
 		}
 		for _, pt := range overlay.Points {

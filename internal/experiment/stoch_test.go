@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/stoch"
+	"repro/internal/trace"
 )
 
 func TestStochSweepShape(t *testing.T) {
@@ -83,30 +84,28 @@ func TestStochTraceDeterminism(t *testing.T) {
 	withPlan.Stoch = plan
 	zero := Quick
 	zero.Stoch = &stoch.Plan{}
+	record := func(p Profile, simName string) []trace.Event {
+		t.Helper()
+		tasks, horizon, err := TraceSetup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder(0)
+		if err := StreamTrace(p, simName, false, 1, tasks, horizon, rec.Record); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Events()
+	}
 	for _, simName := range []string{TraceSimUni, TraceSimMulti, TraceSimGlobal} {
-		a, err := RunTrace(withPlan, simName, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunTrace(withPlan, simName, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Events, b.Events) {
+		a, b := record(withPlan, simName), record(withPlan, simName)
+		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: stochastic trace not reproducible", simName)
 		}
-		base, err := RunTrace(Quick, simName, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		z, err := RunTrace(zero, simName, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base.Events, z.Events) {
+		base, z := record(Quick, simName), record(zero, simName)
+		if !reflect.DeepEqual(base, z) {
 			t.Fatalf("%s: zero plan diverged from plan-free trace", simName)
 		}
-		if reflect.DeepEqual(base.Events, a.Events) {
+		if reflect.DeepEqual(base, a) {
 			t.Fatalf("%s: active plan left the trace unchanged", simName)
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/gsim"
+	"repro/internal/metrics/series"
 	"repro/internal/multi"
+	"repro/internal/obs"
 	"repro/internal/rtime"
 	"repro/internal/rua"
 	"repro/internal/runner"
@@ -45,18 +47,6 @@ func TraceWorkloadSpec() WorkloadSpec {
 	}
 }
 
-// TraceRun is one traced simulation: the full event stream plus
-// everything needed to fold and bound-check it.
-type TraceRun struct {
-	Sim       string
-	LockBased bool
-	Seed      int64
-
-	Tasks   []*task.Task
-	Horizon rtime.Time
-	Events  []trace.Event
-}
-
 // buildTraceTasks materializes the trace workload and splits it into
 // two disjoint shared-object groups: the second half of the task set
 // has its object ids shifted past the first half's. One fully-connected
@@ -89,25 +79,6 @@ func TraceSetup(p Profile) ([]*task.Task, rtime.Time, error) {
 		return nil, 0, err
 	}
 	return tasks, horizonFor(tasks, p), nil
-}
-
-// RunTrace executes one fully-observed simulation of the canonical
-// trace workload on the selected simulator, recording the full event
-// stream. The run is a pure function of (profile, simName, lockBased,
-// seed): equal inputs yield byte-identical event streams.
-func RunTrace(p Profile, simName string, lockBased bool, seed int64) (*TraceRun, error) {
-	tasks, horizon, err := TraceSetup(p)
-	if err != nil {
-		return nil, err
-	}
-	rec := trace.NewRecorder(0)
-	if err := StreamTrace(p, simName, lockBased, seed, tasks, horizon, rec.Record); err != nil {
-		return nil, err
-	}
-	return &TraceRun{
-		Sim: simName, LockBased: lockBased, Seed: seed,
-		Tasks: tasks, Horizon: horizon, Events: rec.Events(),
-	}, nil
 }
 
 // StreamTrace executes one simulation of the canonical trace workload
@@ -166,9 +137,40 @@ func StreamTrace(p Profile, simName string, lockBased bool, seed int64, tasks []
 	return err
 }
 
-// Spans folds the run's events into per-job spans.
-func (tr *TraceRun) Spans() ([]span.JobSpan, error) {
-	return span.Build(tr.Events, tr.Horizon)
+// foldTrace runs one simulation of the canonical trace workload through
+// an online obs.Pipeline and returns the fold: per-operation retry
+// telemetry always, the Theorem 2/3 bound check on the uni and multi
+// engines, and the virtual-time series when withSeries is set. onSpan
+// receives every retired job span (valid only during the call). No
+// event is buffered: memory is O(series windows + live jobs).
+func foldTrace(p Profile, simName string, lockBased bool, seed int64, withSeries bool, onSpan func(*span.JobSpan)) (*obs.Results, error) {
+	tasks, horizon, err := TraceSetup(p)
+	if err != nil {
+		return nil, err
+	}
+	cpus := 1
+	if simName != TraceSimUni {
+		cpus = TraceCPUs
+	}
+	cfg := obs.Config{Horizon: horizon, CPUs: cpus, OnSpan: onSpan}
+	// The global engine's commit-time validation retries fall outside
+	// Theorem 2's model (see internal/gsim), so its runs carry no bound
+	// check.
+	if simName != TraceSimGlobal {
+		ck := boundCheckConfig(p, lockBased, tasks)
+		cfg.CheckTasks, cfg.Check = tasks, &ck
+	}
+	if withSeries {
+		cfg.SeriesWindow = series.WindowFor(horizon, 0)
+	}
+	pipe, err := obs.NewPipeline(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := StreamTrace(p, simName, lockBased, seed, tasks, horizon, pipe.Observer()); err != nil {
+		return nil, err
+	}
+	return pipe.Finish()
 }
 
 // boundCheckConfig is the Theorem 2/3 check configuration of the
@@ -193,9 +195,9 @@ func boundCheckConfig(p Profile, lockBased bool, tasks []*task.Task) check.Confi
 }
 
 // CheckBounds runs the bound-check suite: every profile seed ×
-// {uniprocessor, partitioned} × {lock-free, lock-based}, traced, folded
-// into spans, and overlaid with the Theorem 2 retry bound and the
-// Theorem 3 worst-case sojourn composition. The global engine is
+// {uniprocessor, partitioned} × {lock-free, lock-based}, folded online
+// (foldTrace) and checked span by span against the Theorem 2 retry bound
+// and the Theorem 3 worst-case sojourn composition. The global engine is
 // deliberately absent: its commit-time validation retries fall outside
 // Theorem 2's uniprocessor model (see internal/gsim), so it has no
 // bound to check against.
@@ -224,25 +226,18 @@ func CheckBounds(p Profile) (string, bool, error) {
 	}
 	outs, err := runner.Map(p.Jobs, len(cells), func(i int) (outcome, error) {
 		c := cells[i]
-		tr, err := RunTrace(p, c.sim, c.lockBased, c.seed)
-		if err != nil {
-			return outcome{}, err
-		}
-		spans, err := tr.Spans()
-		if err != nil {
-			return outcome{}, err
-		}
-		rep, err := check.Check(spans, tr.Tasks, boundCheckConfig(p, c.lockBased, tr.Tasks))
-		if err != nil {
-			return outcome{}, err
-		}
-		o := outcome{jobs: len(spans), report: rep}
-		for i := range spans {
-			o.retries += spans[i].Retries
-			if spans[i].Outcome == span.Completed {
+		var o outcome
+		res, err := foldTrace(p, c.sim, c.lockBased, c.seed, false, func(s *span.JobSpan) {
+			o.jobs++
+			o.retries += s.Retries
+			if s.Outcome == span.Completed {
 				o.completed++
 			}
+		})
+		if err != nil {
+			return outcome{}, err
 		}
+		o.report = res.Check
 		return o, nil
 	})
 	if err != nil {

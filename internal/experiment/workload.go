@@ -258,7 +258,7 @@ type Profile struct {
 	Jobs int
 
 	// Fault, when non-nil and active, is injected into every traced run
-	// (RunTrace) and the bound-check suite (CheckBounds): lock-free trace
+	// (StreamTrace) and the bound-check suite (CheckBounds): lock-free trace
 	// runs get the admission-control RUA variant so sheds appear in the
 	// timeline, and bounds are re-checked against the plan's effective
 	// (inflated) arrival curves with model-exceeding violations flagged

@@ -21,9 +21,8 @@ var maporderScope = []string{
 	// preemption decisions; a map walk feeding those decisions would
 	// reintroduce the nondeterminism the hash exists to exclude.
 	"internal/stoch",
-	// The streaming pipeline folds live runs into the same rendered
-	// artifacts the batch path produces; a map walk there would make the
-	// streamed digest diverge from the batch one between runs.
+	// The obs pipeline folds every run into the rendered artifacts; a
+	// map walk there would make the digest differ between runs.
 	"internal/obs",
 	// The serving daemon's conformance contract is byte-identity with
 	// the batch CLI: a map walk feeding an artifact listing, an event

@@ -7,12 +7,12 @@
 // the *system* look like over time — which is what the report's
 // load/backlog charts plot.
 //
-// A Recorder is fed through the engines' existing Observer plumbing
-// (sim.Config.Observer, multi.Config.Observer, gsim.Config.Observer);
-// it buffers events and folds them on Series(), stable-sorting by
-// virtual time first so the partitioned engine's interleaved
-// per-partition streams fold identically to a globally ordered one.
-// Equal traces yield byte-identical CSV renderings.
+// A Stream is fed through the engines' existing Observer plumbing
+// (sim.Config.Observer, multi.Config.Observer, gsim.Config.Observer)
+// and folds each event as it arrives; internal/obs composes it with the
+// other online folds. FromEvents runs the same fold over a recorded
+// slice and is the reference the online fold is tested against. Equal
+// traces yield byte-identical CSV renderings.
 package series
 
 import (
@@ -137,30 +137,6 @@ func (s *Series) Totals() Point {
 	return t
 }
 
-// Recorder buffers trace events for folding. Like trace.Recorder it is
-// single-goroutine by design; attach it via Observer().
-type Recorder struct {
-	cfg Config
-	evs []trace.Event
-}
-
-// NewRecorder returns a Recorder folding with cfg.
-func NewRecorder(cfg Config) *Recorder { return &Recorder{cfg: cfg} }
-
-// Observe buffers one event.
-func (r *Recorder) Observe(e trace.Event) { r.evs = append(r.evs, e) }
-
-// Observer returns Observe bound as an engine callback.
-func (r *Recorder) Observer() func(trace.Event) { return r.Observe }
-
-// Events returns the buffered events.
-func (r *Recorder) Events() []trace.Event { return r.evs }
-
-// Series folds the buffered events; see FromEvents.
-func (r *Recorder) Series(horizon rtime.Time) (*Series, error) {
-	return FromEvents(r.evs, horizon, r.cfg)
-}
-
 // jobKey identifies a job across the stream.
 type jobKey struct{ task, seq int }
 
@@ -253,7 +229,7 @@ type Stream struct {
 // NewStream builds an online series folder covering [0, horizon). The
 // horizon must be known up front (every engine's is) so window count —
 // and the assignment of boundary-instant events to windows — matches
-// the batch fold exactly.
+// FromEvents exactly.
 func NewStream(cfg Config, horizon rtime.Time) (*Stream, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("%w: Window must be positive, got %v", ErrConfig, cfg.Window)

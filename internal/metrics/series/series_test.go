@@ -93,7 +93,7 @@ func TestWindowFor(t *testing.T) {
 }
 
 // TestAgainstEngine cross-checks the fold against the uniprocessor
-// engine's own counters: an observer-fed Recorder's totals must match
+// engine's own counters: an observer-fed Stream's totals must match
 // sim.Result exactly, and the busy level can never exceed one CPU.
 func TestAgainstEngine(t *testing.T) {
 	tasks := make([]*task.Task, 4)
@@ -107,17 +107,21 @@ func TestAgainstEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec := series.NewRecorder(series.Config{Window: 1000, CPUs: 1})
+	const horizon = 60_000
+	fold, err := series.NewStream(series.Config{Window: 1000, CPUs: 1}, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := sim.Run(sim.Config{
 		Tasks: tasks, Scheduler: rua.NewLockFree(), Mode: sim.LockFree,
-		R: 150, S: 5, OpCost: 0.02, Horizon: 60_000,
+		R: 150, S: 5, OpCost: 0.02, Horizon: horizon,
 		ArrivalKind: uam.KindJittered, Seed: 3, ConservativeRetry: true,
-		Observer: rec.Observer(),
+		Observer: fold.Observe,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := rec.Series(res.Horizon)
+	s, err := fold.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,19 @@
 // the engines' existing Observer hook (sim.Config.Observer,
 // multi.Config.Observer, gsim.Config.Observer) and folds trace events
 // ONLINE — per-job spans, bound checks, windowed series, per-object
-// retry telemetry — instead of recording the full event slice and
-// folding post-hoc. At the 10⁴–10⁵-task scales the engines reach, the
-// post-hoc path's O(total events) buffer dominates memory; the pipeline
-// replaces it with O(windows + live jobs + flight ring).
+// retry telemetry. It is the only way production code folds an
+// engine's event stream: nothing records the full event slice to fold
+// it afterwards, so memory stays O(windows + live jobs + flight ring)
+// at the 10⁴–10⁵-task scales the engines reach.
 //
 // Every engine guarantees its observer stream is nondecreasing in
 // Event.At (the partitioned engine steps its partitions in lockstep to
 // keep this true for the merged stream), which is what lets the online
-// folds match the batch folds byte-for-byte: the batch path stable-sorts
-// by At before folding, and a stable sort of an already-ordered stream
-// is the identity.
+// folds match the recorded-slice folds (span.Build, series.FromEvents,
+// ops.FromEvents, check.Check) byte-for-byte: those stable-sort by At
+// before folding, and a stable sort of an already-ordered stream is
+// the identity. They are kept as the test oracles obs_test.go compares
+// the pipeline against.
 //
 // Three pieces:
 //

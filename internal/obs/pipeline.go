@@ -104,9 +104,8 @@ type Results struct {
 	Ops    *ops.Set
 	Check  *check.Report // nil unless bound checking was configured
 
-	Trigger       string // first anomaly, "" if none
-	TriggerAt     rtime.Time
-	FlightDropped int64
+	Trigger   string // first anomaly, "" if none
+	TriggerAt rtime.Time
 }
 
 // Pipeline is the composed online fold. Attach it to an engine with
@@ -323,9 +322,6 @@ func (p *Pipeline) Finish() (*Results, error) {
 			return nil, err
 		}
 		r.Series = ser
-	}
-	if p.flight != nil {
-		r.FlightDropped = p.flight.Dropped()
 	}
 	if p.werr != nil {
 		return nil, fmt.Errorf("obs: progress write: %w", p.werr)

@@ -215,9 +215,6 @@ func (r *Report) buildPage() *page {
 	for i := range r.Runs {
 		run := &r.Runs[i]
 		caption := "sim " + run.Sim + " · " + run.Mode + " · " + strconv.Itoa(len(run.Seeds)) + " seed(s)"
-		if run.Dropped > 0 {
-			caption += " · " + strconv.FormatInt(run.Dropped, 10) + " event(s) dropped by bounded recording"
-		}
 		rv := runView{
 			Name:    run.Name,
 			Caption: caption,

@@ -81,12 +81,6 @@ type Run struct {
 	Aborted   int64
 	Shed      int64 // admission-control drops (subset of Aborted), fault runs only
 
-	// Dropped counts trace events lost to bounded recording while this
-	// run was folded (a capped trace.Recorder or an obs flight ring).
-	// Zero when every fold saw the complete stream — truncation is
-	// surfaced, never silent.
-	Dropped int64
-
 	Dists  []Dist
 	Series *series.Series
 	Check  *check.Report // per-task observed extremes vs bounds
@@ -427,12 +421,8 @@ func (r *Report) WriteText(w io.Writer) error {
 		if run.Shed > 0 {
 			shed = fmt.Sprintf(" shed=%d", run.Shed)
 		}
-		dropped := ""
-		if run.Dropped > 0 {
-			dropped = fmt.Sprintf(" dropped=%d", run.Dropped)
-		}
-		fmt.Fprintf(&b, "run %s sim=%s mode=%s seeds=%d jobs=%d completed=%d aborted=%d%s%s violations=%d\n",
-			run.Name, run.Sim, run.Mode, len(run.Seeds), run.Jobs, run.Completed, run.Aborted, shed, dropped, len(run.Violations()))
+		fmt.Fprintf(&b, "run %s sim=%s mode=%s seeds=%d jobs=%d completed=%d aborted=%d%s violations=%d\n",
+			run.Name, run.Sim, run.Mode, len(run.Seeds), run.Jobs, run.Completed, run.Aborted, shed, len(run.Violations()))
 		for _, d := range run.Dists {
 			s := d.Hist.Summarize()
 			bound := "-"

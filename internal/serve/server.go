@@ -478,14 +478,14 @@ func (s *Server) buildArtifacts(run *Run) ([]report.File, error) {
 		files = append(files, report.File{Name: "trace.summary.txt", Data: []byte(tr.Summary(name, dumpName))})
 	}
 	if spec.Report != nil {
-		set, err := artifact.BuildReportSet(p, spec.Report.Figs, spec.Stream)
+		set, err := artifact.BuildReportSet(p, spec.Report.Figs, false)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, set.Files...)
 	}
 	if spec.Metrics {
-		digest, err := artifact.BuildMetrics(p, spec.Stream)
+		digest, err := artifact.BuildMetrics(p, false)
 		if err != nil {
 			return nil, err
 		}

@@ -77,8 +77,9 @@ type ReportSpec struct {
 //
 // A decoded spec is always in canonical form: defaults are filled,
 // plan strings are re-rendered fully explicit with their seed
-// overrides folded in, and "all" figure lists are expanded — so equal
-// scenarios encode to equal bytes and the cache key is exact.
+// overrides folded in, "all" figure lists are expanded, and the
+// ignored stream field is cleared — so equal scenarios encode to equal
+// bytes and the cache key is exact.
 // Execution width (the rtsim -jobs knob) is deliberately absent: it
 // never changes output bytes, so it is an operational setting of the
 // daemon, not part of the scenario.
@@ -97,8 +98,9 @@ type Spec struct {
 	Stoch     string `json:"stoch,omitempty"`
 	StochSeed int64  `json:"stoch_seed,omitempty"`
 
-	// Stream folds report/metrics online through the internal/obs
-	// pipeline (bounded memory, byte-identical output).
+	// Stream is accepted and ignored: report and metrics always fold
+	// online. Canonicalization clears it, so a spec that sets it shares
+	// the cache line of the same spec without it.
 	Stream bool `json:"stream,omitempty"`
 
 	// Requested artifacts; at least one must be set.
@@ -149,6 +151,7 @@ func (s *Spec) CacheKey() string {
 // canonicalize validates the spec in place and rewrites it to the
 // canonical form equal scenarios share.
 func (s *Spec) canonicalize() *Error {
+	s.Stream = false
 	switch s.Profile {
 	case "":
 		s.Profile = "quick"

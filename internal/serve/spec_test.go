@@ -133,15 +133,21 @@ func TestDecodeSpecInvalid(t *testing.T) {
 	}
 }
 
-// TestCacheKeyDiscriminates: distinct scenarios get distinct keys, and
-// the key embeds the artifact-code version.
+// TestCacheKeyDiscriminates: distinct scenarios get distinct keys,
+// specs that differ only in the ignored stream field share one, and the
+// key embeds the artifact-code version.
 func TestCacheKeyDiscriminates(t *testing.T) {
 	a := mustDecode(t, `{"metrics":true}`)
 	b := mustDecode(t, `{"metrics":true,"stream":true}`)
 	c := mustDecode(t, `{"metrics":true,"faults":"light"}`)
-	if a.CacheKey() == b.CacheKey() || a.CacheKey() == c.CacheKey() || b.CacheKey() == c.CacheKey() {
-		t.Errorf("distinct scenarios share a cache key:\n  %s\n  %s\n  %s",
-			a.CacheKey(), b.CacheKey(), c.CacheKey())
+	if a.CacheKey() == c.CacheKey() {
+		t.Errorf("distinct scenarios share a cache key:\n  %s\n  %s", a.CacheKey(), c.CacheKey())
+	}
+	if a.CacheKey() != b.CacheKey() {
+		t.Errorf("stream must not split the cache line:\n  %s\n  %s", a.CacheKey(), b.CacheKey())
+	}
+	if b.Stream || bytes.Contains(b.Encode(), []byte("stream")) {
+		t.Errorf("decoded spec keeps stream: %+v encodes as %s", b, b.Encode())
 	}
 	if !strings.HasSuffix(a.CacheKey(), "|"+Version) {
 		t.Errorf("cache key %q does not embed version %q", a.CacheKey(), Version)

@@ -304,8 +304,8 @@ func (st *Stream) Observe(s *span.JobSpan) []Violation {
 // Report sorts the accumulated violations into the order Check promises
 // — ascending (task, seq), theorem 2 before 3 — and returns the report,
 // or the first evaluation error. Spans retire from an online folder in
-// departure order, not key order, so the sort re-establishes the batch
-// contract; per (task, seq) at most one violation of each theorem
+// departure order, not key order, so the sort re-establishes Check's
+// order; per (task, seq) at most one violation of each theorem
 // exists, making the order unique.
 func (st *Stream) Report() (*Report, error) {
 	if st.err != nil {
