@@ -46,10 +46,46 @@ func reportManifest(t *testing.T, jobs int) []byte {
 	return b.Bytes()
 }
 
+// traceManifest writes the raw -trace-format json event stream of every
+// {uni,multi,global} x {lockfree,lockbased} x {plain, -faults heavy,
+// -stoch geo} traced run and returns one "name sha256" line per stream.
+// The streams carry every engine emission, so the manifest pins each
+// engine's observable behavior byte for byte.
+func traceManifest(t *testing.T, jobs int) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	overlays := []struct {
+		name string
+		args []string
+	}{
+		{"plain", nil},
+		{"faults_heavy", []string{"-faults", "heavy"}},
+		{"stoch_geo", []string{"-stoch", "geo"}},
+	}
+	var b bytes.Buffer
+	for _, simName := range []string{"uni", "multi", "global"} {
+		for _, mode := range []string{"lockfree", "lockbased"} {
+			for _, o := range overlays {
+				name := simName + "_" + mode + "_" + o.name + ".json"
+				file := filepath.Join(dir, name)
+				args := append([]string{"-trace", file, "-trace-format", "json", "-trace-sim", simName, "-trace-mode", mode}, o.args...)
+				rtsimStdout(t, jobs, args...)
+				data, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%s %x\n", name, sha256.Sum256(data))
+			}
+		}
+	}
+	return b.Bytes()
+}
+
 // TestCLIGoldens pins the exact bytes of every folded CLI output — the
 // -metrics digest (plain, fault-injected and stochastic), the -report
-// file set, the -check-bounds table and the stoch sweep — at -jobs 1
-// and -jobs 4. Any change to a fold, its merge across seeds, or its
+// file set, the -check-bounds table, the stoch sweep, the whole quick
+// `all` sweep and the raw event stream of every traced engine — at
+// -jobs 1 and -jobs 4. Any change to a fold, its merge across seeds, or its
 // rendering shows up as a golden diff; regenerate deliberately with
 //
 //	go test ./cmd/rtsim -run TestCLIGoldens -update
@@ -74,6 +110,10 @@ func TestCLIGoldens(t *testing.T) {
 		{"quick_stoch.txt", func(t *testing.T, jobs int) []byte {
 			return rtsimStdout(t, jobs, "stoch")
 		}},
+		{"quick_all.txt", func(t *testing.T, jobs int) []byte {
+			return rtsimStdout(t, jobs, "all")
+		}},
+		{"quick_traces.sha256", traceManifest},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
