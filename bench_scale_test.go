@@ -3,7 +3,7 @@
 //
 //	BenchmarkScaleSelect        → one RUA pass over n live jobs (0 allocs/op
 //	                              steady state; warmed scratch)
-//	BenchmarkScaleSelectTopK    → SelectTopKAbort (gsim's per-event call)
+//	BenchmarkScaleSelectTopK    → SelectTopKAbort (the global engine's per-event call)
 //	BenchmarkScaleEngineRun     → full uniprocessor event loop, 3 windows
 //
 // The companion before/after pairs live next to the structures they

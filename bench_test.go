@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/experiment"
-	"repro/internal/gsim"
 	"repro/internal/lockfree"
 	"repro/internal/lockobj"
 	"repro/internal/metrics"
@@ -443,7 +442,7 @@ func BenchmarkSnapshotScan(b *testing.B) {
 	})
 }
 
-// BenchmarkGlobalMultiprocessor measures gsim throughput per CPU count —
+// BenchmarkGlobalMultiprocessor measures global-engine throughput per CPU count —
 // the wall-clock cost of the §7 global-scheduling extension.
 func BenchmarkGlobalMultiprocessor(b *testing.B) {
 	for _, cpus := range []int{1, 2, 4} {
@@ -459,7 +458,7 @@ func BenchmarkGlobalMultiprocessor(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := gsim.Run(gsim.Config{
+				if _, err := sim.RunGlobal(sim.GlobalConfig{
 					CPUs: cpus, Tasks: tasks, Scheduler: rua.NewLockFree(),
 					Mode: sim.LockFree, R: experiment.DefaultR, S: experiment.DefaultS,
 					Horizon:     rtime.Time(100 * rtime.Millisecond),

@@ -11,9 +11,10 @@
 //	internal/rua         lock-based and lock-free RUA schedulers (§3, §5)
 //	internal/analysis    Theorems 2/3, Lemmas 4/5, interference and
 //	                     UAM demand-bound schedulability in closed form
-//	internal/sim         discrete-event single-CPU RTOS substrate
+//	internal/sim         discrete-event RTOS substrate: one engine kernel
+//	                     under a uniprocessor and a global
+//	                     multiprocessor (§7) dispatch policy
 //	internal/multi       partitioned multiprocessor extension (§7)
-//	internal/gsim        global multiprocessor engine (§7)
 //	internal/tuf,uam     time/utility functions; UAM arrival model
 //	internal/task        jobs, segments, lock boundaries, abort handlers
 //	internal/resource    lock ownership / commit tracking

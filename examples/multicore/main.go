@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/gsim"
 	"repro/internal/metrics"
 	"repro/internal/multi"
 	"repro/internal/rtime"
@@ -53,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := gsim.Run(gsim.Config{
+		g, err := sim.RunGlobal(sim.GlobalConfig{
 			CPUs: cpus, Tasks: tasks(), Scheduler: rua.NewLockFree(),
 			Mode: sim.LockFree, R: 150, S: 5, Horizon: horizon,
 			ArrivalKind: uam.KindJittered, Seed: 11,

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"repro/internal/gsim"
 	"repro/internal/metrics"
 	"repro/internal/multi"
 	"repro/internal/rtime"
@@ -15,7 +14,7 @@ import (
 // GlobalCPU contrasts the two §7 multiprocessor disciplines on the same
 // overloaded, object-sharing workload: GLOBAL scheduling (one ready
 // queue, migration, true parallel conflicts with commit-time validation
-// — internal/gsim) versus PARTITIONED (object-aware static assignment,
+// — sim.RunGlobal) versus PARTITIONED (object-aware static assignment,
 // each partition a paper-model uniprocessor — internal/multi). Two
 // shapes matter: aggregate AUR climbs with CPUs either way, and global
 // scheduling's retries GROW with CPUs because parallel commits conflict
@@ -58,7 +57,7 @@ func GlobalCPU(p Profile) ([]*Table, error) {
 	cells, err := runner.Map(p.Jobs, len(cpuCounts)*nSeeds, func(i int) (cell, error) {
 		cpus := cpuCounts[i/nSeeds]
 		seed := p.Seeds[i%nSeeds]
-		gRes, err := gsim.Run(gsim.Config{
+		gRes, err := sim.RunGlobal(sim.GlobalConfig{
 			CPUs: cpus, Tasks: task.CloneAll(template), Scheduler: rua.NewLockFree(),
 			Mode: sim.LockFree, R: DefaultR, S: DefaultS, OpCost: 0,
 			Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/gsim"
 	"repro/internal/metrics"
 	"repro/internal/multi"
 	"repro/internal/rua"
@@ -108,7 +107,7 @@ func Scale(p Profile) ([]*Table, error) {
 			}
 			return res.Stats, nil
 		default: // global
-			res, err := gsim.Run(gsim.Config{
+			res, err := sim.RunGlobal(sim.GlobalConfig{
 				CPUs: scaleCPUs, Tasks: tasks, Scheduler: newSched(), Mode: cb.mode,
 				R: DefaultR, S: DefaultS, OpCost: 0,
 				Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,

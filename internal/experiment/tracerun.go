@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/gsim"
 	"repro/internal/metrics/series"
 	"repro/internal/multi"
 	"repro/internal/obs"
@@ -24,7 +23,7 @@ import (
 const (
 	TraceSimUni    = "uni"    // single-processor engine (internal/sim)
 	TraceSimMulti  = "multi"  // partitioned multiprocessor (internal/multi)
-	TraceSimGlobal = "global" // global multiprocessor (internal/gsim)
+	TraceSimGlobal = "global" // global multiprocessor (sim.RunGlobal)
 )
 
 // TraceCPUs is the processor count traced multi/global runs use.
@@ -124,7 +123,7 @@ func StreamTrace(p Profile, simName string, lockBased bool, seed int64, tasks []
 			ConservativeRetry: true, Fault: p.Fault, Stoch: p.Stoch, Observer: observer,
 		})
 	case TraceSimGlobal:
-		_, err = gsim.Run(gsim.Config{
+		_, err = sim.RunGlobal(sim.GlobalConfig{
 			CPUs: TraceCPUs, Tasks: tasks, Scheduler: newRUA(), Mode: mode,
 			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
 			Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
@@ -154,7 +153,7 @@ func foldTrace(p Profile, simName string, lockBased bool, seed int64, withSeries
 	}
 	cfg := obs.Config{Horizon: horizon, CPUs: cpus, OnSpan: onSpan}
 	// The global engine's commit-time validation retries fall outside
-	// Theorem 2's model (see internal/gsim), so its runs carry no bound
+	// Theorem 2's model (see sim.GlobalConfig), so its runs carry no bound
 	// check.
 	if simName != TraceSimGlobal {
 		ck := boundCheckConfig(p, lockBased, tasks)
@@ -199,7 +198,7 @@ func boundCheckConfig(p Profile, lockBased bool, tasks []*task.Task) check.Confi
 // (foldTrace) and checked span by span against the Theorem 2 retry bound
 // and the Theorem 3 worst-case sojourn composition. The global engine is
 // deliberately absent: its commit-time validation retries fall outside
-// Theorem 2's uniprocessor model (see internal/gsim), so it has no
+// Theorem 2's uniprocessor model (see sim.GlobalConfig), so it has no
 // bound to check against.
 //
 // It returns the rendered report (byte-identical for any jobs value —

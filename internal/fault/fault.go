@@ -2,8 +2,9 @@
 // engine. A Plan describes an adversarial environment — arrival bursts
 // and jitter that violate the declared UAM vector, execution-time
 // overruns beyond c_i, phantom-writer CAS interference on lock-free
-// objects, and transient CPU stalls — and the engines (sim, multi,
-// gsim) consult it at well-defined hook points.
+// objects, and transient CPU stalls — and the engines (sim's
+// uniprocessor and global engines, multi) consult it at well-defined
+// hook points.
 //
 // Determinism is the design center: every injection decision is a pure
 // splitmix64 hash of (plan seed, injector stream, task id, job seq,

@@ -10,7 +10,7 @@ import (
 // maporderScope is where map iteration order can leak into rendered
 // tables, metrics, or scheduling decisions.
 var maporderScope = []string{
-	"internal/sim", "internal/gsim", "internal/rua", "internal/sched",
+	"internal/sim", "internal/rua", "internal/sched",
 	"internal/experiment", "internal/metrics", "internal/analysis", "internal/multi",
 	"internal/trace", "internal/report", "internal/rtime",
 	// The fault planner expands scenario maps into injection schedules,

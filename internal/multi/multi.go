@@ -185,11 +185,7 @@ func Run(cfg Config) (Result, error) {
 	if cfg.CPUs < 1 {
 		return Result{}, fmt.Errorf("%w: %d CPUs", ErrConfig, cfg.CPUs)
 	}
-	acc := cfg.S
-	if cfg.Mode == sim.LockBased {
-		acc = cfg.R
-	}
-	assign, err := Partition(cfg.Tasks, cfg.CPUs, acc)
+	assign, err := Partition(cfg.Tasks, cfg.CPUs, cfg.Mode.AccessCost(cfg.R, cfg.S))
 	if err != nil {
 		return Result{}, err
 	}
@@ -202,6 +198,8 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	res := Result{Assignment: assign, PerCPU: make([]sim.Result, cfg.CPUs)}
+	// metrics.Analyze reads only the jobs and the horizon; per-CPU
+	// counters stay in PerCPU.
 	merged := sim.Result{Horizon: cfg.Horizon}
 
 	// Build one stepper engine per non-empty partition. Each engine only
@@ -292,20 +290,6 @@ func Run(cfg Config) (Result, error) {
 		}
 		res.PerCPU[cpu] = r
 		merged.Jobs = append(merged.Jobs, r.Jobs...)
-		merged.Arrivals += r.Arrivals
-		merged.Completions += r.Completions
-		merged.Aborts += r.Aborts
-		merged.Retries += r.Retries
-		merged.SchedInvocations += r.SchedInvocations
-		merged.SchedOps += r.SchedOps
-		merged.Overhead += r.Overhead
-		merged.ExecTime += r.ExecTime
-		merged.FaultArrivals += r.FaultArrivals
-		merged.FaultOverruns += r.FaultOverruns
-		merged.FaultRetries += r.FaultRetries
-		merged.FaultStalls += r.FaultStalls
-		merged.SchedAborts += r.SchedAborts
-		merged.StallTime += r.StallTime
 	}
 	res.Stats = metrics.Analyze(merged)
 	return res, nil

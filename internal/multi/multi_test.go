@@ -2,12 +2,17 @@ package multi
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/rtime"
+	"repro/internal/rua"
 	"repro/internal/sim"
+	"repro/internal/stoch"
 	"repro/internal/task"
+	"repro/internal/trace"
 	"repro/internal/tuf"
 	"repro/internal/uam"
 )
@@ -211,5 +216,71 @@ func TestComponentsSingleton(t *testing.T) {
 	comps := components(tasks)
 	if len(comps) != 2 {
 		t.Fatalf("components = %v", comps)
+	}
+}
+
+// TestQuickSingleCPUMatchesUniprocessorStream: with one CPU the
+// partitioned engine is the uniprocessor engine, so its observer stream
+// is exactly sim.Run's for the same configuration. Workloads are
+// generated with shared objects, in both modes, plain and under the
+// heavy fault plan and the geometric stochastic plan.
+func TestQuickSingleCPUMatchesUniprocessorStream(t *testing.T) {
+	f := func(nRaw, mRaw, objRaw uint8, execRaw, cRaw uint16, lockBased bool, overlay uint8, seed int64) bool {
+		mk := func() []*task.Task {
+			n := int(nRaw%5) + 2
+			tasks := make([]*task.Task, n)
+			for i := range tasks {
+				u := rtime.Duration(execRaw%600) + 50 + rtime.Duration(i*31)
+				c := rtime.Duration(cRaw%3000) + 4*u
+				objs := []int{int(objRaw) % 3, (int(objRaw) + i) % 3}
+				tasks[i] = mkTask(i, u, c, int(mRaw%3)+i%2, objs)
+			}
+			return tasks
+		}
+		mode, newRUA := sim.LockFree, rua.NewLockFree
+		if lockBased {
+			mode, newRUA = sim.LockBased, rua.NewLockBased
+		}
+		var fp *fault.Plan
+		var sp *stoch.Plan
+		switch overlay % 3 {
+		case 1:
+			fp = fault.Heavy()
+		case 2:
+			sp = stoch.Geo()
+		}
+		var maxC rtime.Duration
+		for _, tk := range mk() {
+			if c := tk.CriticalTime(); c > maxC {
+				maxC = c
+			}
+		}
+		horizon := rtime.Time(15 * maxC)
+		kind := uam.Kind(uint64(seed) % 3)
+		mrec, urec := trace.NewRecorder(0), trace.NewRecorder(0)
+		if _, err := Run(Config{
+			CPUs: 1, Tasks: mk(), Mode: mode, R: 40, S: 7, OpCost: 0.02,
+			Horizon: horizon, ArrivalKind: kind, Seed: seed, ConservativeRetry: true,
+			Fault: fp, Stoch: sp, Observer: mrec.Record,
+		}); err != nil {
+			t.Logf("multi: %v", err)
+			return false
+		}
+		if _, err := sim.Run(sim.Config{
+			Tasks: mk(), Scheduler: newRUA(), Mode: mode, R: 40, S: 7, OpCost: 0.02,
+			Horizon: horizon, ArrivalKind: kind, Seed: seed, ConservativeRetry: true,
+			Fault: fp, Stoch: sp, Observer: urec.Record,
+		}); err != nil {
+			t.Logf("sim: %v", err)
+			return false
+		}
+		return len(mrec.Events()) > 0 && reflect.DeepEqual(mrec.Events(), urec.Events())
+	}
+	cfg := &quick.Config{MaxCount: 360}
+	if testing.Short() {
+		cfg.MaxCount = 60
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
 	}
 }

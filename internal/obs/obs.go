@@ -1,6 +1,6 @@
 // Package obs is the streaming observability pipeline: it sits behind
 // the engines' existing Observer hook (sim.Config.Observer,
-// multi.Config.Observer, gsim.Config.Observer) and folds trace events
+// multi.Config.Observer, sim.GlobalConfig.Observer) and folds trace events
 // ONLINE — per-job spans, bound checks, windowed series, per-object
 // retry telemetry. It is the only way production code folds an
 // engine's event stream: nothing records the full event slice to fold

@@ -1,0 +1,357 @@
+package sim
+
+import (
+	"fmt"
+
+	"repro/internal/fault"
+	"repro/internal/rtime"
+	"repro/internal/sched"
+	"repro/internal/stoch"
+	"repro/internal/task"
+	"repro/internal/trace"
+	"repro/internal/uam"
+)
+
+// The global multiprocessor policy is the second half of the paper's §7
+// future work (internal/multi covers the partitioned half). M identical
+// processors share one ready queue; at every scheduling event the
+// scheduler ranks all live jobs (sched.TopK) and the M highest-priority
+// runnable jobs execute in parallel, with migration allowed.
+//
+// The interesting new physics is true parallel object conflict, which
+// cannot happen on one processor: two jobs can be INSIDE the same
+// lock-free object's access simultaneously, so optimistic execution must
+// validate at commit time — a job reaching the end of its access re-runs
+// it if any conflicting commit landed on the object since the access
+// began (exactly a failed CAS). Retries therefore occur without any
+// preemption, which is why the paper's uniprocessor Theorem 2 bound does
+// not transfer to global scheduling and why the paper leaves
+// multiprocessors as future work; the globalcpu experiment quantifies
+// that gap empirically.
+//
+// Model simplifications relative to the uniprocessor policy (documented,
+// validated): abort handlers are instantaneous (AbortCost must be 0),
+// explicit Lock/Unlock sections are unsupported, and scheduler overhead
+// is modelled as a global dispatch latency.
+
+// GlobalConfig describes a global multiprocessor run. The fields shared
+// with Config mean the same.
+type GlobalConfig struct {
+	CPUs      int
+	Tasks     []*task.Task
+	Scheduler sched.TopK
+	Mode      Mode
+	R, S      rtime.Duration
+	OpCost    float64
+	Horizon   rtime.Time
+
+	ArrivalKind uam.Kind
+	Seed        int64
+	Arrivals    []uam.Trace
+
+	// Observer, when non-nil, receives the same trace-event vocabulary
+	// the uniprocessor engine emits, with Event.CPU carrying the
+	// dispatching processor (or -1 for unbound events: arrivals, aborts,
+	// scheduler passes — the global scheduler runs on no particular
+	// CPU). The stream is nondecreasing in Event.At: every emission is
+	// stamped at the engine event being processed, so online sinks
+	// (internal/obs) can fold it without buffering or sorting.
+	Observer func(trace.Event)
+
+	// Fault, when active, injects deterministic faults exactly as
+	// Config.Fault does; see internal/fault. Phantom-writer CAS failures
+	// compose with this engine's real commit-time validation: a commit
+	// must survive both to land.
+	Fault *fault.Plan
+
+	// Stoch, when active, overlays the seeded stochastic scheduler
+	// (internal/stoch): per-CPU dispatches are force-preempted after a
+	// drawn quantum, and a picked pass shuffles the scheduler's ranked
+	// list (the ranked-dispatch analogue of the uniprocessor engine's
+	// random pick). The global pass hashes with CPU coordinate -1 —
+	// the same convention its unbound trace events use — and quanta
+	// hash with the dispatching CPU. Nil or inactive plans leave the
+	// run bit-for-bit identical to one without the field.
+	Stoch *stoch.Plan
+}
+
+// GlobalEngine executes one global multiprocessor run: the kernel's
+// event loop under the global dispatch policy.
+type GlobalEngine struct {
+	kernel
+	sched   sched.TopK
+	pending []*task.Job        // the last pass's ranking, applied by evDispatch
+	selbuf  map[*task.Job]bool // applyAssignment scratch: selected set
+	plcbuf  map[*task.Job]bool // applyAssignment scratch: placed set
+}
+
+// NewGlobal builds a global multiprocessor engine.
+func NewGlobal(cfg GlobalConfig) (*GlobalEngine, error) {
+	base := Config{
+		Tasks: cfg.Tasks, Mode: cfg.Mode, R: cfg.R, S: cfg.S,
+		OpCost: cfg.OpCost, Horizon: cfg.Horizon,
+		ArrivalKind: cfg.ArrivalKind, Seed: cfg.Seed, Arrivals: cfg.Arrivals,
+		Observer: cfg.Observer, Fault: cfg.Fault, Stoch: cfg.Stoch,
+	}
+	if cfg.CPUs < 1 {
+		return nil, fmt.Errorf("%w: %d CPUs", ErrConfig, cfg.CPUs)
+	}
+	if err := base.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Scheduler == nil {
+		return nil, fmt.Errorf("%w: no scheduler", ErrConfig)
+	}
+	for _, t := range cfg.Tasks {
+		if t.AbortCost != 0 {
+			return nil, fmt.Errorf("%w: task %d has AbortCost %v; the global engine models instantaneous handlers", ErrConfig, t.ID, t.AbortCost)
+		}
+		if t.UsesExplicitSections() {
+			return nil, fmt.Errorf("%w: task %d uses explicit Lock/Unlock sections (unsupported by the global engine)", ErrConfig, t.ID)
+		}
+	}
+	e := &GlobalEngine{
+		sched:  cfg.Scheduler,
+		selbuf: make(map[*task.Job]bool, cfg.CPUs),
+		plcbuf: make(map[*task.Job]bool, cfg.CPUs),
+	}
+	if err := e.init(base, cfg.CPUs, true, cfg.Scheduler); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Run executes to the horizon.
+//
+//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
+func (e *GlobalEngine) Run() Result {
+	for e.StepNext() {
+	}
+	return e.Finish()
+}
+
+// StepNext processes exactly one event and reports whether the run can
+// continue, with the same ordering guarantee as Engine.StepNext.
+//
+//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
+func (e *GlobalEngine) StepNext() bool {
+	ev, resched, ok := e.step()
+	if !ok {
+		return false
+	}
+	switch ev.kind {
+	case evCritical:
+		if !ev.job.Done() {
+			e.abort(ev.job)
+			resched = true
+		}
+	case evDispatch:
+		e.applyAssignment(e.pending)
+	}
+	if resched && e.fail == nil {
+		e.reschedule()
+	}
+	return e.fail == nil
+}
+
+// abort retires j at once: handlers are instantaneous in this model
+// (AbortCost must be 0), so begin and done coincide.
+//
+//rtlint:noalloc per-event path
+func (e *GlobalEngine) abort(j *task.Job) {
+	for cpu, r := range e.running {
+		if r == j {
+			// Marking the abort first keeps stop from reporting a
+			// spurious preemption for the departing job.
+			j.State = task.Aborting
+			e.stop(cpu)
+		}
+	}
+	j.State = task.Aborted
+	j.AbortedAt = e.now
+	e.emit(e.now, trace.AbortBegin, j, -1, -1)
+	e.emit(e.now, trace.AbortDone, j, -1, -1)
+	e.res.ReleaseAll(j)
+	e.removeLive(j)
+	e.res1.Aborts++
+}
+
+// reschedule ranks the live jobs and assigns the top M to the CPUs,
+// after the pass's overhead when that is non-zero.
+//
+//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
+func (e *GlobalEngine) reschedule() {
+	w := e.world()
+	var ranked, aborts []*task.Job
+	var ops int64
+	if ab, ok := e.sched.(sched.TopKAborter); ok {
+		// Schedulers with abort decisions (RUA's admission-control
+		// shedding) surface them here; plain TopK schedulers cannot.
+		ranked, aborts, ops = ab.SelectTopKAbort(w, len(e.live))
+	} else {
+		ranked, ops = e.sched.SelectTopK(w, len(e.live))
+	}
+	if len(ranked) > 1 {
+		// Stochastic pick, ranked-dispatch form: a picked pass runs a
+		// deterministic Fisher–Yates over a copy of the ranking, so the
+		// top-M slots become a uniform random draw from the live set.
+		if _, ok := e.cfg.Stoch.Pick(-1, e.now, len(ranked)); ok {
+			//rtlint:ignore noalloc copies into the reused shuffle buffer; bounded by live jobs, steady capacity at warm-up
+			ranked = append(e.scratch[:0], ranked...)
+			e.scratch = ranked
+			for i := len(ranked) - 1; i > 0; i-- {
+				k := e.cfg.Stoch.Swap(-1, e.now, i)
+				ranked[i], ranked[k] = ranked[k], ranked[i]
+			}
+		}
+	}
+	overhead := e.charge(ops, len(aborts))
+	for _, v := range aborts {
+		if !v.Done() {
+			e.abort(v)
+		}
+	}
+	e.pending = ranked
+	if e.deferDispatch(overhead) {
+		return
+	}
+	e.applyAssignment(ranked)
+}
+
+// applyAssignment maps the ranked job list onto the CPUs: jobs keep their
+// CPU if re-selected in the top slots (affinity); remaining CPUs fill
+// from the ranked list in priority order. A dispatch can fail benignly —
+// an earlier dispatch in the same round may have taken the lock a later
+// candidate needs, blocking it at its boundary — in which case the next
+// ranked job backfills.
+//
+//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
+func (e *GlobalEngine) applyAssignment(ranked []*task.Job) {
+	selected := e.selbuf
+	clear(selected)
+	count := 0
+	for _, j := range ranked {
+		if count == len(e.running) {
+			break
+		}
+		if j.Done() || j.State == task.Aborting || selected[j] || !e.runnableNow(j) {
+			continue
+		}
+		//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
+		selected[j] = true
+		count++
+	}
+	// Stop de-selected runners.
+	for cpu, r := range e.running {
+		if r != nil && !selected[r] {
+			e.stop(cpu)
+		}
+	}
+	placed := e.plcbuf
+	clear(placed)
+	for _, r := range e.running {
+		if r != nil {
+			//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
+			placed[r] = true
+		}
+	}
+	// Fill free CPUs from the ranked list, skipping jobs that block at
+	// dispatch time.
+	for _, j := range ranked {
+		cpu := e.freeCPU()
+		if cpu < 0 || e.fail != nil {
+			break
+		}
+		if j.Done() || j.State == task.Aborting || placed[j] {
+			continue
+		}
+		if e.tryDispatch(cpu, j) {
+			//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
+			placed[j] = true
+		}
+	}
+}
+
+func (e *GlobalEngine) freeCPU() int {
+	for cpu, r := range e.running {
+		if r == nil {
+			return cpu
+		}
+	}
+	return -1
+}
+
+// runnableNow mirrors sched.Runnable plus "not already running" checks
+// handled by the caller.
+func (e *GlobalEngine) runnableNow(j *task.Job) bool {
+	if e.cfg.Mode != LockBased {
+		return true
+	}
+	if obj, ok := j.AtAccessStart(); ok {
+		if owner := e.res.Owner(obj); owner != nil && owner != j {
+			return false
+		}
+	}
+	if obj, ok := e.res.WaitingFor(j); ok {
+		if owner := e.res.Owner(obj); owner != nil && owner != j {
+			return false
+		}
+	}
+	return true
+}
+
+// tryDispatch attempts to start j on cpu; it reports false when the job
+// blocks at its lock boundary instead of running (a benign outcome of
+// same-round lock acquisition by a higher-priority job).
+//
+//rtlint:noalloc per-event path
+func (e *GlobalEngine) tryDispatch(cpu int, j *task.Job) bool {
+	st := e.rs(j)
+	if st.midAccess {
+		st.midAccess = false
+		if obj, in := j.InAccess(); in && e.res.CommittedAfter(obj, st.accessStart) {
+			j.RestartAccess()
+			e.emit(e.now, trace.Retry, j, obj, cpu)
+		}
+	}
+	if e.cfg.Mode == LockBased {
+		if obj, ok := j.AtAccessStart(); ok {
+			switch owner := e.res.Owner(obj); {
+			case owner == j:
+			case owner == nil:
+				if _, _, err := e.res.TryAcquire(j, obj); err != nil {
+					e.failWith(err)
+					return false
+				}
+				e.res1.LockEvents++
+				e.emit(e.now, trace.LockAcquire, j, obj, cpu)
+			default:
+				// Lock taken earlier in this same assignment round:
+				// register the wait and leave the CPU for the next
+				// candidate.
+				if _, _, err := e.res.TryAcquire(j, obj); err != nil {
+					e.failWith(err)
+					return false
+				}
+				e.res1.LockEvents++
+				j.State = task.Blocked
+				e.emit(e.now, trace.Block, j, obj, cpu)
+				return false
+			}
+		}
+	} else if _, ok := j.AtAccessStart(); ok {
+		st.accessStart = e.now
+	}
+	e.start(cpu, j)
+	return true
+}
+
+// RunGlobal is a convenience: build a global engine and run it.
+func RunGlobal(cfg GlobalConfig) (Result, error) {
+	e, err := NewGlobal(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	r := e.Run()
+	return r, r.Err
+}

@@ -1,11 +1,15 @@
 // Package sim is the deterministic discrete-event substrate that stands
-// in for the paper's QNX Neutrino testbed. It models a single preemptive
-// processor under virtual time: jobs arrive under UAM, execute compute
+// in for the paper's QNX Neutrino testbed. It models preemptive
+// processors under virtual time: jobs arrive under UAM, execute compute
 // and shared-object access segments, acquire/release locks (lock-based
 // mode) or commit/retry (lock-free mode), are aborted when their critical
 // times expire (§3.5), and are dispatched by a pluggable scheduler whose
 // decision cost — measured in charged operations — is converted into
 // virtual scheduling overhead occupying the CPU.
+//
+// One event-loop kernel (kernel.go) runs under two dispatch policies:
+// Engine, the paper's single processor, and GlobalEngine (global.go),
+// M processors sharing one ready queue (§7 future work).
 //
 // Why a simulator: the paper's claims are statements about scheduling
 // event sequences (who preempts whom, how many retries an access suffers,
@@ -20,12 +24,9 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/fault"
-	"repro/internal/resource"
 	"repro/internal/rtime"
-	"repro/internal/rtime/wheel"
 	"repro/internal/sched"
 	"repro/internal/stoch"
 	"repro/internal/task"
@@ -126,48 +127,6 @@ type Config struct {
 	StochCPU int
 }
 
-func (c *Config) validate() error {
-	if len(c.Tasks) == 0 {
-		return fmt.Errorf("%w: no tasks", ErrConfig)
-	}
-	if c.Scheduler == nil {
-		return fmt.Errorf("%w: no scheduler", ErrConfig)
-	}
-	if c.Horizon <= 0 {
-		return fmt.Errorf("%w: horizon %v must be positive", ErrConfig, c.Horizon)
-	}
-	if c.R <= 0 || c.S <= 0 {
-		return fmt.Errorf("%w: access costs R=%v S=%v must be positive", ErrConfig, c.R, c.S)
-	}
-	if c.OpCost < 0 || math.IsNaN(c.OpCost) || math.IsInf(c.OpCost, 0) {
-		return fmt.Errorf("%w: op cost %v", ErrConfig, c.OpCost)
-	}
-	for _, t := range c.Tasks {
-		if err := t.Validate(); err != nil {
-			return err
-		}
-		if c.Mode == LockFree && t.UsesExplicitSections() {
-			return fmt.Errorf("%w: task %d uses explicit Lock/Unlock sections, which the lock-free model excludes (§2)", ErrConfig, t.ID)
-		}
-	}
-	if c.Arrivals != nil {
-		if len(c.Arrivals) > len(c.Tasks) {
-			return fmt.Errorf("%w: %d arrival traces for %d tasks", ErrConfig, len(c.Arrivals), len(c.Tasks))
-		}
-		for i, tr := range c.Arrivals {
-			for k, at := range tr {
-				if k > 0 && at < tr[k-1] {
-					return fmt.Errorf("%w: arrival trace %d is not sorted", ErrConfig, i)
-				}
-				if at < 0 || at >= c.Horizon {
-					return fmt.Errorf("%w: arrival trace %d: %v outside [0, %v)", ErrConfig, i, at, c.Horizon)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Result aggregates a finished run.
 type Result struct {
 	Jobs []*task.Job // every job released before the horizon
@@ -221,72 +180,16 @@ func (r Result) Utilization() float64 {
 	return float64(r.Busy()) / float64(r.Horizon)
 }
 
-type evKind int
-
-const (
-	evArrival evKind = iota
-	evCritical
-	evInternal
-	evDispatch
-	evAbortDone
-	evPreempt // stochastic forced preemption at quantum expiry
-)
-
-// event is one scheduled occurrence. Ordering — ascending (at, push
-// order) — is the timing wheel's contract (see internal/rtime/wheel),
-// identical to the binary heap this engine used before PR 6.
-type event struct {
-	at   rtime.Time
-	kind evKind
-	job  *task.Job
-	gen  int64
-}
-
-// runState is per-job engine bookkeeping.
-type runState struct {
-	accessStart rtime.Time // when the current lock-free access began consuming
-	midAccess   bool       // stopped while inside a lock-free access
-	stopSeq     int64      // dispatchSeq at the moment it was stopped
-
-	entrySeg  int        // segment index of the stamped access entry (-1 none)
-	entryTime rtime.Time // when the job first reached that access boundary
-
-	casAttempt int // phantom-CAS failures suffered on the current access
-}
-
-// Engine executes one configured run.
+// Engine executes one configured uniprocessor run: the kernel's event
+// loop under the uniprocessor dispatch policy. Each pass dispatches the
+// scheduler's single pick after its overhead; abort handlers occupy the
+// processor for the task's AbortCost; a preempted lock-free access
+// retries at its next dispatch (conservatively after any intervening
+// dispatch, or precisely only after a conflicting commit).
 type Engine struct {
-	cfg Config
-	acc rtime.Duration
-
-	now     rtime.Time
-	events  *wheel.Wheel[event]
-	res     *resource.Map
-	live    []*task.Job
-	allJobs []*task.Job
-
-	running *task.Job
-	runPos  rtime.Time
-
-	busyUntil       rtime.Time
-	pendingDispatch *task.Job
-	dispatchGen     int64
-	internalGen     int64
-	dispatchSeq     int64
-
-	rstates map[*task.Job]*runState
-	rsSlab  []runState  // slab the per-job runStates are carved from
-	pickBuf []*task.Job // stochastic-pick candidate scratch (reused)
+	kernel
+	pending *task.Job // the last pass's pick, dispatched by evDispatch
 	lastRun *task.Job
-
-	// Stepping state: the wheel has no Peek, so NextAt pops the next
-	// event into a one-slot stash that StepNext consumes.
-	stash    event
-	stashed  bool
-	finished bool
-
-	res1 Result
-	fail error
 }
 
 // New builds an engine, pre-generating all UAM arrivals over the horizon.
@@ -294,214 +197,48 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg: cfg,
-		res: resource.NewMap(),
+	if cfg.Scheduler == nil {
+		return nil, fmt.Errorf("%w: no scheduler", ErrConfig)
 	}
-	if so, ok := cfg.Scheduler.(interface{ SetObserver(func(trace.Event)) }); ok {
-		so.SetObserver(cfg.Observer)
-	}
-	if cfg.Mode == LockBased {
-		e.acc = cfg.R
-	} else {
-		e.acc = cfg.S
-	}
-	traces := make([]uam.Trace, len(cfg.Tasks))
-	injected := make([][]bool, len(cfg.Tasks))
-	arrivals := 0
-	for i, t := range cfg.Tasks {
-		if cfg.Arrivals != nil {
-			if i < len(cfg.Arrivals) {
-				traces[i] = cfg.Arrivals[i]
+	if cfg.Mode == LockFree {
+		for _, t := range cfg.Tasks {
+			if t.UsesExplicitSections() {
+				return nil, fmt.Errorf("%w: task %d uses explicit Lock/Unlock sections, which the lock-free model excludes (§2)", ErrConfig, t.ID)
 			}
-		} else {
-			g, err := uam.NewGenerator(t.Arrival, cfg.Seed+int64(i)*7919)
-			if err != nil {
-				return nil, err
-			}
-			traces[i] = g.Generate(cfg.ArrivalKind, cfg.Horizon)
 		}
-		// Fault injection perturbs the releases AFTER generation (or on
-		// top of explicit traces), keyed purely by (plan seed, task id,
-		// arrival index) so every engine perturbs a task identically.
-		traces[i], injected[i] = cfg.Fault.PerturbArrivals(t.ID, traces[i], cfg.Horizon)
-		arrivals += len(traces[i])
 	}
-	// Each arrival contributes at most an arrival plus a critical-time
-	// event held concurrently; dispatch/internal events are transient.
-	// Pre-sizing the wheel arena and job bookkeeping to the known arrival
-	// count avoids repeated growth copies over long horizons, and the
-	// full-width runState slab keeps the per-job path allocation-free.
-	e.events = wheel.New[event](2*arrivals + 8)
-	e.allJobs = make([]*task.Job, 0, arrivals)
-	e.rstates = make(map[*task.Job]*runState, arrivals)
-	e.rsSlab = make([]runState, arrivals)
-	if cfg.Stoch.Active() {
-		// Live jobs never exceed total arrivals, so the pick scratch
-		// sized here keeps the stochastic path allocation-free too.
-		e.pickBuf = make([]*task.Job, 0, arrivals)
-	}
-	for i, t := range cfg.Tasks {
-		u := t.ComputeTime()
-		for k, at := range traces[i] {
-			j := task.NewJob(t, k, at)
-			if injected[i] != nil && injected[i][k] {
-				j.Injected = true
-			}
-			j.SetOverrun(cfg.Fault.Overrun(t.ID, k, u))
-			e.push(event{at: at, kind: evArrival, job: j})
-		}
+	e := &Engine{}
+	if err := e.init(cfg, 1, false, cfg.Scheduler); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func (e *Engine) push(ev event) {
-	e.events.Push(ev.at, ev)
-}
-
-func (e *Engine) rs(j *task.Job) *runState {
-	st := e.rstates[j]
-	if st == nil {
-		// Carve from the slab New pre-allocated for every arrival; the
-		// batch refill is a safety net that never fires on a normal run.
-		if len(e.rsSlab) == 0 {
-			//rtlint:ignore noalloc batch refill safety net; New pre-sizes the slab for every arrival
-			e.rsSlab = make([]runState, 64)
-		}
-		st = &e.rsSlab[0]
-		e.rsSlab = e.rsSlab[1:]
-		st.entrySeg = -1
-		//rtlint:ignore noalloc map pre-sized in New for every arrival; buckets never grow on a normal run
-		e.rstates[j] = st
-	}
-	return st
-}
-
-// stampEntry records the first arrival at the current access boundary.
-func (e *Engine) stampEntry(j *task.Job) {
-	st := e.rs(j)
-	if st.entrySeg != j.SegIdx {
-		st.entrySeg = j.SegIdx
-		st.entryTime = e.runPos
-	}
-}
-
-func (e *Engine) pushInternal(at rtime.Time) {
-	e.internalGen++
-	e.push(event{at: at, kind: evInternal, gen: e.internalGen})
-}
-
-func (e *Engine) failWith(err error) {
-	if e.fail == nil {
-		e.fail = err
-	}
-}
-
-// emit reports a trace event to the configured observer.
-func (e *Engine) emit(at rtime.Time, kind trace.Kind, j *task.Job, obj int) {
-	if e.cfg.Observer == nil || j == nil {
-		return
-	}
-	e.cfg.Observer(trace.Event{At: at, Kind: kind, Task: j.Task.ID, Seq: j.Seq, Object: obj})
-}
-
-// emitSched reports a scheduler-level event (no job attached).
-func (e *Engine) emitSched(at rtime.Time, kind trace.Kind, ops int64) {
-	if e.cfg.Observer == nil {
-		return
-	}
-	e.cfg.Observer(trace.Event{At: at, Kind: kind, Task: -1, Seq: -1, Object: -1, Ops: ops})
-}
-
 // Run executes the simulation to the horizon and returns the result.
 //
-//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch (PR-6 contract)
+//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
 func (e *Engine) Run() Result {
 	for e.StepNext() {
 	}
 	return e.Finish()
 }
 
-// next pops the engine's next live event (skipping superseded
-// generation-guarded ones) into the stash, or reports none remain.
-func (e *Engine) next() (event, bool) {
-	for !e.stashed {
-		if e.events.Len() == 0 {
-			return event{}, false
-		}
-		_, ev, _ := e.events.Pop()
-		if ev.kind == evInternal && ev.gen != e.internalGen {
-			continue
-		}
-		if (ev.kind == evDispatch || ev.kind == evPreempt) && ev.gen != e.dispatchGen {
-			continue
-		}
-		e.stash = ev
-		e.stashed = true
-	}
-	return e.stash, true
-}
-
-// NextAt peeks the virtual time of the engine's next event. ok is false
-// when the engine has nothing left to process: no events remain, the
-// next event lies beyond the horizon, or the engine failed. The
-// partitioned driver (internal/multi) uses this to interleave several
-// engines' events in global time order.
-func (e *Engine) NextAt() (rtime.Time, bool) {
-	if e.fail != nil || e.finished {
-		return 0, false
-	}
-	ev, ok := e.next()
-	if !ok || ev.at > e.cfg.Horizon {
-		return 0, false
-	}
-	return ev.at, true
-}
-
-// Err returns the engine's failure, if any.
-func (e *Engine) Err() error { return e.fail }
-
 // StepNext processes exactly one event and reports whether the run can
 // continue. Observer emissions of the processed event all carry its
 // virtual time, so repeatedly calling StepNext yields an event stream
 // nondecreasing in Event.At.
 //
-//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch (PR-6 contract)
+//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
 func (e *Engine) StepNext() bool {
-	if e.fail != nil || e.finished {
+	ev, resched, ok := e.step()
+	if !ok {
 		return false
 	}
-	ev, ok := e.next()
-	if !ok || ev.at > e.cfg.Horizon {
-		e.finished = true
-		return false
-	}
-	e.stashed = false
-	e.now = ev.at
-	needResched := e.settle()
 	switch ev.kind {
-	case evArrival:
-		j := ev.job
-		//rtlint:ignore noalloc bounded by total arrivals; reaches steady capacity at warm-up
-		e.live = append(e.live, j)
-		//rtlint:ignore noalloc pre-sized in New for every arrival
-		e.allJobs = append(e.allJobs, j)
-		e.res1.Arrivals++
-		e.emit(e.now, trace.Arrival, j, -1)
-		if j.Injected {
-			e.res1.FaultArrivals++
-			e.emit(e.now, trace.FaultArrival, j, -1)
-		}
-		if j.Overrun > 0 {
-			e.res1.FaultOverruns++
-			e.emit(e.now, trace.FaultOverrun, j, -1)
-		}
-		e.push(event{at: j.AbsoluteCriticalTime(), kind: evCritical, job: j})
-		needResched = true
 	case evCritical:
 		if !ev.job.Done() && ev.job.State != task.Aborting {
 			e.beginAbort(ev.job)
-			needResched = true
+			resched = true
 		}
 	case evAbortDone:
 		j := ev.job
@@ -509,188 +246,32 @@ func (e *Engine) StepNext() bool {
 			j.State = task.Aborted
 			e.res.ReleaseAll(j)
 			e.res1.Aborts++
-			e.emit(e.now, trace.AbortDone, j, -1)
-			needResched = true // departure is a scheduling event
+			e.emit(e.now, trace.AbortDone, j, -1, 0)
+			resched = true // departure is a scheduling event
 		}
 	case evDispatch:
-		e.dispatchNow(e.pendingDispatch)
-	case evPreempt:
-		// The stochastic quantum expired with the dispatch still
-		// current (gen-guarded above): force a scheduling pass.
-		// settle() already advanced the runner to e.now.
-		if e.running != nil {
-			needResched = true
-		}
-	case evInternal:
-		// settle() already processed the boundary.
+		e.dispatchNow(e.pending)
 	}
-	if needResched && e.fail == nil {
+	if resched && e.fail == nil {
 		e.reschedule()
 	}
 	return e.fail == nil
 }
 
-// Finish seals and returns the result. Idempotent; call it after
-// StepNext reports the run is over (Run does).
-func (e *Engine) Finish() Result {
-	e.res1.Jobs = e.allJobs
-	e.res1.Horizon = e.cfg.Horizon
-	e.res1.Err = e.fail
-	var retries int64
-	for _, j := range e.allJobs {
-		retries += j.Retries
-	}
-	e.res1.Retries = retries
-	return e.res1
-}
-
-// settle advances the running job to e.now, processing any boundary that
-// falls exactly there. It reports whether a scheduling event occurred
-// (lock request/release, completion, blocking).
-func (e *Engine) settle() bool {
-	j := e.running
-	if j == nil {
-		return false
-	}
-	resched := false
-	delta := e.now.Sub(e.runPos)
-	for {
-		used, stepEv := j.Step(delta, e.acc)
-		delta -= used
-		e.runPos = e.runPos.Add(used)
-		e.res1.ExecTime += used
-		switch stepEv {
-		case task.StepBudget:
-			return resched
-		case task.StepAccessStart:
-			obj, _ := j.AtAccessStart()
-			e.stampEntry(j)
-			if e.cfg.Mode == LockFree {
-				// Not a scheduling event (§4.1): fall straight into the
-				// access; the fresh internal event marks its commit point.
-				e.rs(j).accessStart = e.runPos
-				e.pushInternal(e.runPos.Add(j.TimeToBoundary(e.acc)))
-				continue
-			}
-			granted, _, err := e.res.TryAcquire(j, obj)
-			if err != nil {
-				e.failWith(err)
-				return false
-			}
-			e.res1.LockEvents++
-			if granted {
-				e.emit(e.runPos, trace.LockAcquire, j, obj)
-			} else {
-				j.State = task.Blocked
-				e.emit(e.runPos, trace.Block, j, obj)
-			}
-			e.stopRunning()
-			return true
-		case task.StepAccessEnd:
-			obj := j.Task.Segments[j.SegIdx-1].Object
-			st := e.rs(j)
-			if e.cfg.Mode == LockFree && e.cfg.Fault.PhantomCAS(j.Task.ID, j.Seq, j.SegIdx-1, st.casAttempt) {
-				// An injected phantom writer wins the commit race: the
-				// access retries without any real conflicting commit. The
-				// entry stamp survives, so AccessTime keeps accumulating
-				// through the retry like it does for real interference.
-				st.casAttempt++
-				j.SegIdx--
-				j.SegDone = 0
-				j.Retries++
-				e.res1.FaultRetries++
-				e.emit(e.runPos, trace.FaultRetry, j, obj)
-				st.accessStart = e.runPos
-				e.pushInternal(e.runPos.Add(j.TimeToBoundary(e.acc)))
-				continue
-			}
-			if st.entrySeg == j.SegIdx-1 {
-				e.res1.AccessTime += e.runPos.Sub(st.entryTime)
-				e.res1.Accesses++
-				st.entrySeg = -1
-			}
-			if e.cfg.Mode == LockFree {
-				st.casAttempt = 0
-				e.res.RecordCommit(obj, e.runPos)
-				e.emit(e.runPos, trace.Commit, j, obj)
-				e.pushInternal(e.runPos.Add(j.TimeToBoundary(e.acc)))
-				continue
-			}
-			if err := e.res.Release(j, obj); err != nil {
-				e.failWith(err)
-				return false
-			}
-			e.res1.LockEvents++
-			e.emit(e.runPos, trace.LockRelease, j, obj)
-			e.stopRunning()
-			return true
-		case task.StepLock:
-			obj, _ := j.PendingLock()
-			granted, _, err := e.res.TryAcquire(j, obj)
-			if err != nil {
-				e.failWith(err)
-				return false
-			}
-			e.res1.LockEvents++
-			if granted {
-				j.PassBoundary()
-				e.emit(e.runPos, trace.LockAcquire, j, obj)
-			} else {
-				j.State = task.Blocked
-				e.emit(e.runPos, trace.Block, j, obj)
-			}
-			e.stopRunning()
-			return true
-		case task.StepUnlock:
-			obj := j.Task.Segments[j.SegIdx].Object
-			if err := e.res.Release(j, obj); err != nil {
-				e.failWith(err)
-				return false
-			}
-			j.PassBoundary()
-			e.res1.LockEvents++
-			e.emit(e.runPos, trace.LockRelease, j, obj)
-			e.stopRunning()
-			return true
-		case task.StepCompleted:
-			j.State = task.Completed
-			j.Completion = e.runPos
-			e.res.ReleaseAll(j)
-			e.res1.Completions++
-			e.emit(e.runPos, trace.Complete, j, -1)
-			e.removeLive(j)
-			e.running = nil
-			return true
-		}
-	}
-}
-
-func (e *Engine) stopRunning() {
-	j := e.running
-	if j == nil {
-		return
-	}
-	if _, in := j.InAccess(); in && e.cfg.Mode == LockFree {
-		st := e.rs(j)
-		st.midAccess = true
-		st.stopSeq = e.dispatchSeq
-	}
-	if j.State == task.Running {
-		j.State = task.Ready
-	}
-	e.running = nil
-}
-
+// beginAbort starts j's abort handler, which occupies the processor for
+// the task's AbortCost after any work already queued on it.
+//
+//rtlint:noalloc per-event path
 func (e *Engine) beginAbort(j *task.Job) {
 	if j.Done() || j.State == task.Aborting {
 		return
 	}
-	if e.running == j {
-		e.stopRunning()
+	if e.running[0] == j {
+		e.stop(0)
 	}
 	j.State = task.Aborting
 	j.AbortedAt = e.now
-	e.emit(e.now, trace.AbortBegin, j, -1)
+	e.emit(e.now, trace.AbortBegin, j, -1, 0)
 	e.res.Forget(j)
 	start := rtime.MaxTime(e.busyUntil, e.now)
 	e.busyUntil = start.Add(j.Task.AbortCost)
@@ -698,34 +279,21 @@ func (e *Engine) beginAbort(j *task.Job) {
 	e.push(event{at: e.busyUntil, kind: evAbortDone, job: j})
 }
 
-func (e *Engine) removeLive(j *task.Job) {
-	for i, x := range e.live {
-		if x == j {
-			//rtlint:ignore noalloc copy-down within the same backing array; never grows
-			e.live = append(e.live[:i], e.live[i+1:]...)
-			return
-		}
-	}
-}
-
+// reschedule runs one scheduling pass over the live jobs and dispatches
+// its pick, after the pass's overhead when that is non-zero.
+//
+//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
 func (e *Engine) reschedule() {
-	e.stopRunning()
-	e.internalGen++
-	e.dispatchGen++
-	w := sched.World{
-		Now:       e.now,
-		Jobs:      e.live,
-		Res:       e.res,
-		Acc:       e.acc,
-		LockBased: e.cfg.Mode == LockBased,
-	}
+	e.stop(0)
+	e.internalGen[0]++
+	w := e.world()
 	d := e.cfg.Scheduler.Select(w)
 	if d.Run != nil && e.cfg.Stoch.Active() {
 		// Stochastic pick: with the plan's probability this pass
 		// replaces the deterministic choice with a uniformly random
 		// runnable job. Candidates are collected from the live set in
 		// its deterministic order, so the drawn index is reproducible.
-		cand := e.pickBuf[:0]
+		cand := e.scratch[:0]
 		for _, j := range e.live {
 			if sched.Runnable(w, j) {
 				//rtlint:ignore noalloc appends into the reused pick buffer; bounded by live jobs, steady capacity at warm-up
@@ -735,36 +303,23 @@ func (e *Engine) reschedule() {
 		if idx, ok := e.cfg.Stoch.Pick(e.cfg.StochCPU, e.now, len(cand)); ok {
 			d.Run = cand[idx]
 		}
-		e.pickBuf = cand
+		e.scratch = cand
 	}
-	e.res1.SchedInvocations++
-	e.res1.SchedOps += d.Ops
-	e.emitSched(e.now, trace.SchedPass, d.Ops)
-	overhead := rtime.Duration(math.Round(float64(d.Ops) * e.cfg.OpCost))
-	e.res1.Overhead += overhead
-	if stall := e.cfg.Fault.Stall(e.res1.SchedInvocations); stall > 0 {
-		// A transient CPU stall lands on this pass: the processor is
-		// occupied for the extra ticks exactly like scheduler overhead,
-		// but accounted separately.
-		e.res1.FaultStalls++
-		e.res1.StallTime += stall
-		e.emitSched(e.now, trace.FaultStall, int64(stall))
-		overhead += stall
-	}
-	e.res1.SchedAborts += int64(len(d.Abort))
+	overhead := e.charge(d.Ops, len(d.Abort))
 	for _, v := range d.Abort {
 		e.beginAbort(v)
 	}
-	start := rtime.MaxTime(e.busyUntil, e.now)
-	e.busyUntil = start.Add(overhead)
-	e.pendingDispatch = d.Run
-	if e.busyUntil.After(e.now) {
-		e.push(event{at: e.busyUntil, kind: evDispatch, gen: e.dispatchGen})
+	e.pending = d.Run
+	if e.deferDispatch(overhead) {
 		return
 	}
 	e.dispatchNow(d.Run)
 }
 
+// dispatchNow starts j on the processor, first deciding whether an
+// access it was preempted inside of retries.
+//
+//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
 func (e *Engine) dispatchNow(j *task.Job) {
 	if j == nil || j.Done() || j.State == task.Aborting {
 		return
@@ -784,7 +339,7 @@ func (e *Engine) dispatchNow(j *task.Job) {
 				obj = o
 			}
 			j.RestartAccess()
-			e.emit(e.now, trace.Retry, j, obj)
+			e.emit(e.now, trace.Retry, j, obj, 0)
 		}
 	}
 	if e.cfg.Mode == LockBased {
@@ -797,7 +352,7 @@ func (e *Engine) dispatchNow(j *task.Job) {
 				}
 				j.PassBoundary()
 				e.res1.LockEvents++
-				e.emit(e.now, trace.LockAcquire, j, obj)
+				e.emit(e.now, trace.LockAcquire, j, obj, 0)
 			case owner == j:
 				// Impossible by construction (the boundary is consumed on
 				// grant), but harmless to tolerate.
@@ -819,7 +374,7 @@ func (e *Engine) dispatchNow(j *task.Job) {
 					return
 				}
 				e.res1.LockEvents++
-				e.emit(e.now, trace.LockAcquire, j, obj)
+				e.emit(e.now, trace.LockAcquire, j, obj, 0)
 			default:
 				//rtlint:ignore noalloc failure path: the run is aborting with a diagnostic
 				e.failWith(fmt.Errorf("sim: scheduler %s dispatched %s, blocked on object %d held by %s",
@@ -833,27 +388,15 @@ func (e *Engine) dispatchNow(j *task.Job) {
 	}
 	if prev := e.lastRun; prev != nil && prev != j && !prev.Done() && prev.State != task.Aborting {
 		prev.Preempts++
-		e.emit(e.now, trace.Preempt, prev, -1)
+		e.emit(e.now, trace.Preempt, prev, -1, 0)
 	}
 	e.lastRun = j
-	j.State = task.Running
-	j.Disp++
-	e.dispatchSeq++
-	e.emit(e.now, trace.Dispatch, j, -1)
-	e.running = j
-	e.runPos = e.now
 	if _, ok := j.AtAccessStart(); ok {
 		// Covers jobs whose very first segment is an access (they never
 		// cross an access boundary inside settle).
-		e.stampEntry(j)
+		e.stampEntry(j, e.now)
 	}
-	e.res1.CtxSwitches++
-	e.pushInternal(e.now.Add(j.TimeToBoundary(e.acc)))
-	if q := e.cfg.Stoch.Step(e.cfg.StochCPU, e.now); q > 0 {
-		// Arm the stochastic quantum: a forced preemption unless a
-		// newer scheduling pass (gen bump) supersedes this dispatch.
-		e.push(event{at: e.now.Add(q), kind: evPreempt, gen: e.dispatchGen})
-	}
+	e.start(0, j)
 }
 
 // Run is a convenience: build an engine and run it.

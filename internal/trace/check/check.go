@@ -13,7 +13,7 @@
 // full task set is loosening-only, hence sound), but does NOT transfer
 // to the global-scheduling engine, where truly parallel conflicting
 // accesses make commit-time validation retries exceed the
-// scheduling-event count — disable Theorem2 when checking gsim traces.
+// scheduling-event count — disable Theorem2 when checking global-engine traces.
 package check
 
 import (

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
-	"repro/internal/gsim"
 	"repro/internal/multi"
 	"repro/internal/rtime"
 	"repro/internal/rua"
@@ -297,7 +296,7 @@ func TestSpanInvariantsProperty(t *testing.T) {
 					checkInvariants(t, spans, jobsOf(res.Jobs), res.Retries, horizon)
 				})
 				if spec.AbortCost != 0 {
-					continue // gsim models instantaneous abort handlers only
+					continue // the global engine models instantaneous abort handlers only
 				}
 				t.Run("global/"+name, func(t *testing.T) {
 					tasks, err := spec.Build()
@@ -313,7 +312,7 @@ func TestSpanInvariantsProperty(t *testing.T) {
 						s = rua.NewLockFree()
 					}
 					rec := trace.NewRecorder(0)
-					res, err := gsim.Run(gsim.Config{
+					res, err := sim.RunGlobal(sim.GlobalConfig{
 						CPUs: 2, Tasks: tasks, Scheduler: s, Mode: mode,
 						R: 100 * rtime.Microsecond, S: 5 * rtime.Microsecond,
 						OpCost: 0.02, Horizon: horizon,

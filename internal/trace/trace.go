@@ -96,7 +96,7 @@ type Event struct {
 
 	// CPU is the processor the event happened on: always 0 on the
 	// uniprocessor engine, the partition index under internal/multi, the
-	// dispatching processor under internal/gsim, and -1 for events not
+	// dispatching processor under the global engine, and -1 for events not
 	// bound to a processor (arrivals, scheduler passes on the global
 	// engine).
 	CPU int
