@@ -69,15 +69,18 @@ stoch-smoke:
 # stream, online span/series folds, no event buffering; (2) the
 # -metrics digest at -jobs 4 must be byte-identical to the committed
 # golden (cmd/rtsim TestCLIGoldens pins the rest); (3) the steady-state
-# sink path must report 0 B/op. The unit twins live in internal/obs and
-# internal/experiment.
+# sink path must report 0 B/op and 0 allocs/op over a fixed 10^6 events,
+# each matched as a whole field (so 10 B/op does not pass). The unit
+# twins live in internal/obs and internal/experiment.
 obs-smoke:
 	$(GO) test -run TestObsSmoke -v ./internal/experiment/
 	$(GO) run ./cmd/rtsim -profile quick -jobs 4 -metrics > obs-metrics.txt
 	cmp obs-metrics.txt cmd/rtsim/testdata/quick_metrics.txt
-	$(GO) test -run NONE -bench BenchmarkPipelineObserve -benchmem ./internal/obs/ | tee obs-bench.txt
-	grep -q "0 B/op" obs-bench.txt
-	@echo "obs smoke OK: digest byte-identical to the golden, sink path 0 B/op"
+	$(GO) test -run NONE -bench BenchmarkPipelineObserve -benchmem -benchtime=1000000x ./internal/obs/ | tee obs-bench.txt
+	awk '$$1 ~ /^BenchmarkPipelineObserve/ { n++; for (i = 2; i < NF; i++) { \
+	  if ($$i == "0" && $$(i+1) == "B/op") b++; if ($$i == "0" && $$(i+1) == "allocs/op") a++ } } \
+	  END { exit !(n > 0 && b == n && a == n) }' obs-bench.txt
+	@echo "obs smoke OK: digest byte-identical to the golden, sink path 0 B/op, 0 allocs/op"
 
 # Full-profile byte guard: the whole `all` sweep on the full profile
 # must reproduce the committed experiments_full.txt exactly. It takes

@@ -44,17 +44,11 @@ func AblationRetry(p Profile) ([]*Table, error) {
 		retries, jobs int64
 		aur, cmr      float64
 	}
-	nSeeds := len(p.Seeds)
-	cells, err := runner.Map(p.Jobs, len(rows)*nSeeds, func(i int) (cell, error) {
-		rw := rows[i/nSeeds]
-		seed := p.Seeds[i%nSeeds]
-		res, err := sim.Run(sim.Config{
-			Tasks: task.CloneAll(template), Scheduler: rua.NewLockFree(), Mode: sim.LockFree,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon:     horizon,
-			ArrivalKind: uam.KindBursty, Seed: seed,
-			ConservativeRetry: rw.conserv,
-		})
+	cells, err := runner.Grid(p.Jobs, len(rows), 1, len(p.Seeds), func(ri, _, rep int) (cell, error) {
+		cfg := baseConfig(task.CloneAll(template), horizon, p.Seeds[rep])
+		cfg.Scheduler, cfg.Mode = rua.NewLockFree(), sim.LockFree
+		cfg.ArrivalKind, cfg.ConservativeRetry = uam.KindBursty, rows[ri].conserv
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return cell{}, err
 		}
@@ -68,8 +62,7 @@ func AblationRetry(p Profile) ([]*Table, error) {
 	for ri, rw := range rows {
 		var retries, jobs int64
 		var aurs, cmrs []float64
-		for si := 0; si < nSeeds; si++ {
-			c := cells[ri*nSeeds+si]
+		for _, c := range cells[ri][0] {
 			retries += c.retries
 			jobs += c.jobs
 			aurs = append(aurs, c.aur)
@@ -107,28 +100,18 @@ func AblationOpCost(p Profile) ([]*Table, error) {
 		MeanExec: 300 * rtime.Microsecond, TargetAL: 0.9,
 		Class: StepTUFs, MaxArrivals: 2,
 	}
-	template, err := w.Build()
-	if err != nil {
-		return nil, err
+	points := make([]sweepPoint, len(opCosts))
+	for oi, opCost := range opCosts {
+		points[oi] = defaultPoint(w)
+		points[oi].opCost = opCost
 	}
-	horizon := horizonFor(template, p)
 	type cell struct {
 		aur, cmr float64
 		overhead rtime.Duration
 	}
-	nSeeds := len(p.Seeds)
-	cells, err := runner.Map(p.Jobs, len(opCosts)*nSeeds, func(i int) (cell, error) {
-		res, err := sim.Run(sim.Config{
-			Tasks: task.CloneAll(template), Scheduler: rua.NewLockFree(), Mode: sim.LockFree,
-			R: DefaultR, S: DefaultS, OpCost: opCosts[i/nSeeds],
-			Horizon:     horizon,
-			ArrivalKind: uam.KindJittered, Seed: p.Seeds[i%nSeeds], ConservativeRetry: true,
-		})
-		if err != nil {
-			return cell{}, err
-		}
+	cells, err := runSweep(p, points, []variant{lockFreeRUA}, func(res sim.Result) cell {
 		st := metrics.Analyze(res)
-		return cell{aur: st.AUR, cmr: st.CMR, overhead: res.Overhead}, nil
+		return cell{aur: st.AUR, cmr: st.CMR, overhead: res.Overhead}
 	})
 	if err != nil {
 		return nil, err
@@ -136,8 +119,7 @@ func AblationOpCost(p Profile) ([]*Table, error) {
 	for oi, opCost := range opCosts {
 		var aurs, cmrs []float64
 		var overhead rtime.Duration
-		for si := 0; si < nSeeds; si++ {
-			c := cells[oi*nSeeds+si]
+		for _, c := range cells[oi][0] {
 			aurs = append(aurs, c.aur)
 			cmrs = append(cmrs, c.cmr)
 			overhead += c.overhead

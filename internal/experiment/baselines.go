@@ -1,14 +1,9 @@
 package experiment
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/rtime"
-	"repro/internal/rua"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/task"
-	"repro/internal/uam"
 )
 
 // Baselines compares the utility-accrual schedulers across the load
@@ -31,56 +26,26 @@ func Baselines(p Profile) ([]*Table, error) {
 	if p.Name == Quick.Name {
 		loads = []float64{0.3, 1.2}
 	}
-	mk := func() []sched.Scheduler {
-		return []sched.Scheduler{rua.NewLockFree(), sched.LBESA{}, sched.EDF{}, sched.LLF{}}
+	variants := []variant{
+		lockFreeRUA,
+		{func() sched.Scheduler { return sched.LBESA{} }, sim.LockFree},
+		{func() sched.Scheduler { return sched.EDF{} }, sim.LockFree},
+		{func() sched.Scheduler { return sched.LLF{} }, sim.LockFree},
 	}
-	templates := make([][]*task.Task, len(loads))
-	horizons := make([]rtime.Time, len(loads))
+	points := make([]sweepPoint, len(loads))
 	for li, al := range loads {
-		w := WorkloadSpec{
+		points[li] = defaultPoint(WorkloadSpec{
 			NumTasks: PaperTasks, NumObjects: 4, AccessesPerJob: 4,
 			MeanExec: 500 * rtime.Microsecond, TargetAL: al,
 			Class: HeterogeneousTUFs, MaxArrivals: 2,
-		}
-		tasks, err := w.Build()
-		if err != nil {
-			return nil, err
-		}
-		templates[li] = tasks
-		horizons[li] = horizonFor(tasks, p)
-	}
-	nSeeds, nS := len(p.Seeds), 4
-	cells, err := runner.Map(p.Jobs, len(loads)*nSeeds*nS, func(i int) (float64, error) {
-		li := i / (nSeeds * nS)
-		seed := p.Seeds[(i/nS)%nSeeds]
-		s := mk()[i%nS]
-		res, err := sim.Run(sim.Config{
-			Tasks: task.CloneAll(templates[li]), Scheduler: s, Mode: sim.LockFree,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon:     horizons[li],
-			ArrivalKind: uam.KindJittered, Seed: seed, ConservativeRetry: true,
 		})
-		if err != nil {
-			return 0, err
-		}
-		return metrics.Analyze(res).AUR, nil
-	})
+	}
+	aurs, err := runSweep(p, points, variants, aur)
 	if err != nil {
 		return nil, err
 	}
 	for li, al := range loads {
-		aurs := make([][]float64, nS)
-		for si := 0; si < nSeeds; si++ {
-			for vi := 0; vi < nS; vi++ {
-				aurs[vi] = append(aurs[vi], cells[(li*nSeeds+si)*nS+vi])
-			}
-		}
-		t.AddRow(al,
-			metrics.Summarize(aurs[0]).String(),
-			metrics.Summarize(aurs[1]).String(),
-			metrics.Summarize(aurs[2]).String(),
-			metrics.Summarize(aurs[3]).String(),
-		)
+		t.AddRow(summaryRow(al, aurs[li])...)
 	}
 	return []*Table{t}, nil
 }

@@ -31,100 +31,99 @@ const (
 	DefaultOpCost = 0.02
 )
 
-// runOnce builds and runs one simulation of the canonical workload.
-func runOnce(tasks []*task.Task, s sched.Scheduler, mode sim.Mode, r, sAcc rtime.Duration,
-	opCost float64, horizon rtime.Time, seed int64) (sim.Result, error) {
-	return sim.Run(sim.Config{
-		Tasks:             tasks,
-		Scheduler:         s,
-		Mode:              mode,
-		R:                 r,
-		S:                 sAcc,
-		OpCost:            opCost,
-		Horizon:           horizon,
-		ArrivalKind:       uam.KindJittered,
-		Seed:              seed,
+// baseConfig is the calibrated uniprocessor run every experiment starts
+// from: the default access costs and scheduler op cost, jittered UAM
+// arrivals, and conservative retry accounting (the adversary Theorem 2
+// bounds). Callers set the scheduler and mode and override only the
+// fields their sweep varies.
+func baseConfig(tasks []*task.Task, horizon rtime.Time, seed int64) sim.Config {
+	return sim.Config{
+		Tasks: tasks, R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
+		Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
 		ConservativeRetry: true,
-	})
+	}
 }
 
-// pairPoint is one sweep cell to be run under both synchronization
-// modes, with its own workload and cost calibration.
-type pairPoint struct {
+// sweepPoint is one point of a uniprocessor sweep: its workload and
+// cost calibration.
+type sweepPoint struct {
 	w      WorkloadSpec
 	r, s   rtime.Duration
 	opCost float64
 }
 
-// runPairs executes every (sweep-point × seed × mode) simulation of a
-// sweep on the profile's worker pool and returns per-point, per-seed
-// stats for the lock-based and lock-free runs (seed order preserved).
+// defaultPoint is the sweep point of w under the default calibration.
+func defaultPoint(w WorkloadSpec) sweepPoint {
+	return sweepPoint{w: w, r: DefaultR, s: DefaultS, opCost: DefaultOpCost}
+}
+
+// variant is one scheduler × synchronization-mode column of a sweep.
+type variant struct {
+	sched func() sched.Scheduler
+	mode  sim.Mode
+}
+
+// The paper's two RUA variants; pairModes is the lock-based vs
+// lock-free pair most of its figures contrast, in that order.
+var (
+	lockBasedRUA = variant{func() sched.Scheduler { return rua.NewLockBased() }, sim.LockBased}
+	lockFreeRUA  = variant{func() sched.Scheduler { return rua.NewLockFree() }, sim.LockFree}
+	pairModes    = []variant{lockBasedRUA, lockFreeRUA}
+)
+
+// runSweep executes every (point × variant × seed) uniprocessor
+// simulation of a sweep on the profile's worker pool and returns measure
+// of each run as out[point][variant][seed].
 //
-// Determinism: each workload is built once, sequentially, as a template;
-// every run clones the template (tasks are read-only during a run, but
-// clones make sharing bugs structurally impossible) and derives its seed
-// from its own grid slot, never from shared RNG state. Results land in
-// index-addressed slots, so the merge — and therefore every rendered
-// table — is byte-identical for any worker count.
-func runPairs(p Profile, points []pairPoint) (lb, lf [][]metrics.RunStats, err error) {
+// Determinism: each workload is built once, sequentially, as a
+// template; every run clones it (tasks are read-only during a run, but
+// clones make sharing bugs structurally impossible) and takes its seed
+// from its own grid cell, never from shared RNG state. runner.Grid
+// merges by index, so every rendered table is byte-identical for any
+// worker count.
+func runSweep[T any](p Profile, points []sweepPoint, variants []variant, measure func(sim.Result) T) ([][][]T, error) {
 	templates := make([][]*task.Task, len(points))
 	horizons := make([]rtime.Time, len(points))
 	for i, pt := range points {
-		t, err := pt.w.Build()
+		tasks, err := pt.w.Build()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		templates[i] = t
-		horizons[i] = horizonFor(t, p)
+		templates[i], horizons[i] = tasks, horizonFor(tasks, p)
 	}
-	nSeeds := len(p.Seeds)
-	stats, err := runner.Map(p.Jobs, len(points)*nSeeds*2, func(i int) (metrics.RunStats, error) {
-		pi := i / (2 * nSeeds)
-		pt := points[pi]
-		seed := p.Seeds[(i/2)%nSeeds]
-		tasks := task.CloneAll(templates[pi])
-		var (
-			s    sched.Scheduler
-			mode sim.Mode
-		)
-		if i%2 == 0 {
-			s, mode = rua.NewLockBased(), sim.LockBased
-		} else {
-			s, mode = rua.NewLockFree(), sim.LockFree
-		}
-		res, err := runOnce(tasks, s, mode, pt.r, pt.s, pt.opCost, horizons[pi], seed)
+	return runner.Grid(p.Jobs, len(points), len(variants), len(p.Seeds), func(pi, vi, rep int) (T, error) {
+		pt, v := points[pi], variants[vi]
+		cfg := baseConfig(task.CloneAll(templates[pi]), horizons[pi], p.Seeds[rep])
+		cfg.Scheduler, cfg.Mode = v.sched(), v.mode
+		cfg.R, cfg.S, cfg.OpCost = pt.r, pt.s, pt.opCost
+		res, err := sim.Run(cfg)
 		if err != nil {
-			return metrics.RunStats{}, err
+			var zero T
+			return zero, err
 		}
-		return metrics.Analyze(res), nil
+		return measure(res), nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	lb = make([][]metrics.RunStats, len(points))
-	lf = make([][]metrics.RunStats, len(points))
-	for pi := range points {
-		lb[pi] = make([]metrics.RunStats, 0, nSeeds)
-		lf[pi] = make([]metrics.RunStats, 0, nSeeds)
-		for si := 0; si < nSeeds; si++ {
-			base := (pi*nSeeds + si) * 2
-			lb[pi] = append(lb[pi], stats[base])
-			lf[pi] = append(lf[pi], stats[base+1])
-		}
-	}
-	return lb, lf, nil
 }
 
-// bothModes runs one workload under lock-based and lock-free RUA for
-// every seed in the profile, in parallel, returning per-mode stats. The
-// task set is built once and cloned per run rather than rebuilt for
-// every (seed × mode) cell.
-func bothModes(w WorkloadSpec, p Profile, r, s rtime.Duration, opCost float64) (lb, lf []metrics.RunStats, err error) {
-	lbs, lfs, err := runPairs(p, []pairPoint{{w: w, r: r, s: s, opCost: opCost}})
-	if err != nil {
-		return nil, nil, err
+// aur is the accrued-utility-ratio measure of a run.
+func aur(res sim.Result) float64 { return metrics.Analyze(res).AUR }
+
+// summaryRow is a table row: the point's label followed by the
+// mean ± CI summary of each variant's per-seed values.
+func summaryRow(label any, variants [][]float64) []any {
+	row := []any{label}
+	for _, xs := range variants {
+		row = append(row, metrics.Summarize(xs).String())
 	}
-	return lbs[0], lfs[0], nil
+	return row
+}
+
+// aurCMRCells renders two variants' mean AUR, then their mean CMR, as
+// table cells.
+func aurCMRCells(a, b []metrics.RunStats) []any {
+	aurOf := func(s metrics.RunStats) float64 { return s.AUR }
+	cmrOf := func(s metrics.RunStats) float64 { return s.CMR }
+	return []any{means(a, aurOf).String(), means(b, aurOf).String(), means(a, cmrOf).String(), means(b, cmrOf).String()}
 }
 
 func means(stats []metrics.RunStats, f func(metrics.RunStats) float64) metrics.Sample {
@@ -150,66 +149,40 @@ func Fig8(p Profile) ([]*Table, error) {
 			DefaultR, DefaultS, len(p.Seeds)),
 		Columns: []string{"objects", "r_eff_us", "s_eff_us", "r/s"},
 	}
-	points := sweepInts(p, 1, 10)
-	templates := make([][]*task.Task, len(points))
-	horizons := make([]rtime.Time, len(points))
-	for pi, objs := range points {
-		w := WorkloadSpec{
+	objSweep := sweepInts(p, 1, 10)
+	points := make([]sweepPoint, len(objSweep))
+	for pi, objs := range objSweep {
+		points[pi] = defaultPoint(WorkloadSpec{
 			NumTasks: PaperTasks, NumObjects: objs, AccessesPerJob: objs,
 			MeanExec: 500 * rtime.Microsecond, TargetAL: 0.4,
 			Class: StepTUFs, MaxArrivals: 1,
-		}
-		tasks, err := w.Build()
-		if err != nil {
-			return nil, err
-		}
-		templates[pi] = tasks
-		horizons[pi] = horizonFor(tasks, p)
+		})
 	}
-	// One grid cell per (objects × seed × mode): eff is the measured
-	// effective access time, ok whether the run observed any accesses.
-	type cell struct {
-		eff float64
-		ok  bool
+	// eff is a run's measured effective access time, ok whether the run
+	// observed any accesses.
+	type eff struct {
+		v  float64
+		ok bool
 	}
-	nSeeds := len(p.Seeds)
-	cells, err := runner.Map(p.Jobs, len(points)*nSeeds*2, func(i int) (cell, error) {
-		pi := i / (2 * nSeeds)
-		seed := p.Seeds[(i/2)%nSeeds]
-		tasks := task.CloneAll(templates[pi])
-		var (
-			s    sched.Scheduler
-			mode sim.Mode
-		)
-		if i%2 == 0 {
-			s, mode = rua.NewLockBased(), sim.LockBased
-		} else {
-			s, mode = rua.NewLockFree(), sim.LockFree
-		}
-		res, err := runOnce(tasks, s, mode, DefaultR, DefaultS, DefaultOpCost, horizons[pi], seed)
-		if err != nil {
-			return cell{}, err
-		}
+	cells, err := runSweep(p, points, pairModes, func(res sim.Result) eff {
 		if res.Accesses == 0 {
-			return cell{}, nil
+			return eff{}
 		}
-		return cell{eff: float64(res.AccessTime) / float64(res.Accesses), ok: true}, nil
+		return eff{v: float64(res.AccessTime) / float64(res.Accesses), ok: true}
 	})
 	if err != nil {
 		return nil, err
 	}
-	for pi, objs := range points {
-		var rEff, sEff []float64
-		for si := 0; si < nSeeds; si++ {
-			base := (pi*nSeeds + si) * 2
-			if c := cells[base]; c.ok {
-				rEff = append(rEff, c.eff)
-			}
-			if c := cells[base+1]; c.ok {
-				sEff = append(sEff, c.eff)
+	for pi, objs := range objSweep {
+		var effs [2][]float64 // pairModes order: r, then s
+		for mi, runs := range cells[pi] {
+			for _, c := range runs {
+				if c.ok {
+					effs[mi] = append(effs[mi], c.v)
+				}
 			}
 		}
-		rS, sS := metrics.Summarize(rEff), metrics.Summarize(sEff)
+		rS, sS := metrics.Summarize(effs[0]), metrics.Summarize(effs[1])
 		ratio := math.Inf(1)
 		if sS.Mean > 0 {
 			ratio = rS.Mean / sS.Mean
@@ -235,41 +208,31 @@ func Fig9(p Profile) ([]*Table, error) {
 		execs = []rtime.Duration{30, 300, 3000}
 	}
 	loads := loadGrid(p)
-	type variant struct {
-		name  string
-		sched func() sched.Scheduler
-		mode  sim.Mode
-		r, s  rtime.Duration
-	}
-	variants := []variant{
-		{"ideal", func() sched.Scheduler { return rua.NewLockFree() }, sim.LockFree, DefaultR, 1},
-		{"lockfree", func() sched.Scheduler { return rua.NewLockFree() }, sim.LockFree, DefaultR, DefaultS},
-		{"lockbased", func() sched.Scheduler { return rua.NewLockBased() }, sim.LockBased, DefaultR, DefaultS},
+	// The variants are ideal RUA (near-zero access cost), lock-free and
+	// lock-based RUA.
+	variants := []struct {
+		variant
+		s rtime.Duration
+	}{
+		{lockFreeRUA, 1},
+		{lockFreeRUA, DefaultS},
+		{lockBasedRUA, DefaultS},
 	}
 	// Each (execution-time × variant) cell is an independent CML grid
-	// search; fan the searches out and merge by index.
-	cmls, err := runner.Map(p.Jobs, len(execs)*len(variants), func(i int) (float64, error) {
-		ex := execs[i/len(variants)]
-		v := variants[i%len(variants)]
+	// search.
+	cmls, err := runner.Grid(p.Jobs, len(execs), len(variants), 1, func(ei, vi, _ int) (float64, error) {
+		v := variants[vi]
 		cml, _, err := metrics.FindCML(metrics.CMLConfig{
 			Loads:         loads,
 			MissTolerance: 0.001,
 			Build: func(al float64) (sim.Config, error) {
-				w := WorkloadSpec{
+				tasks, err := WorkloadSpec{
 					NumTasks: PaperTasks, NumObjects: 10, AccessesPerJob: 4,
-					MeanExec: ex, TargetAL: al, Class: StepTUFs, MaxArrivals: 1,
-				}
-				tasks, err := w.Build()
-				if err != nil {
-					return sim.Config{}, err
-				}
-				return sim.Config{
-					Tasks: tasks, Scheduler: v.sched(), Mode: v.mode,
-					R: v.r, S: v.s, OpCost: DefaultOpCost,
-					Horizon:     horizonFor(tasks, p),
-					ArrivalKind: uam.KindJittered, Seed: p.Seeds[0],
-					ConservativeRetry: true,
-				}, nil
+					MeanExec: execs[ei], TargetAL: al, Class: StepTUFs, MaxArrivals: 1,
+				}.Build()
+				cfg := baseConfig(tasks, horizonFor(tasks, p), p.Seeds[0])
+				cfg.Scheduler, cfg.Mode, cfg.S = v.sched(), v.mode, v.s
+				return cfg, err
 			},
 		})
 		return cml, err
@@ -278,8 +241,8 @@ func Fig9(p Profile) ([]*Table, error) {
 		return nil, err
 	}
 	for ei, ex := range execs {
-		base := ei * len(variants)
-		t.AddRow(int64(ex), cmls[base], cmls[base+1], cmls[base+2])
+		c := cmls[ei]
+		t.AddRow(int64(ex), c[0][0], c[1][0], c[2][0])
 	}
 	return []*Table{t}, nil
 }
@@ -295,29 +258,20 @@ func AURCMR(p Profile, id string, class TUFClass, al float64) ([]*Table, error) 
 		Columns: []string{"objects", "AUR_lockbased", "AUR_lockfree", "CMR_lockbased", "CMR_lockfree"},
 	}
 	objSweep := sweepInts(p, 1, 10)
-	points := make([]pairPoint, len(objSweep))
+	points := make([]sweepPoint, len(objSweep))
 	for pi, objs := range objSweep {
-		points[pi] = pairPoint{
-			w: WorkloadSpec{
-				NumTasks: PaperTasks, NumObjects: objs, AccessesPerJob: objs,
-				MeanExec: 500 * rtime.Microsecond, TargetAL: al,
-				Class: class, MaxArrivals: 2,
-			},
-			r: DefaultR, s: DefaultS, opCost: DefaultOpCost,
-		}
+		points[pi] = defaultPoint(WorkloadSpec{
+			NumTasks: PaperTasks, NumObjects: objs, AccessesPerJob: objs,
+			MeanExec: 500 * rtime.Microsecond, TargetAL: al,
+			Class: class, MaxArrivals: 2,
+		})
 	}
-	lbs, lfs, err := runPairs(p, points)
+	cells, err := runSweep(p, points, pairModes, metrics.Analyze)
 	if err != nil {
 		return nil, err
 	}
 	for pi, objs := range objSweep {
-		lb, lf := lbs[pi], lfs[pi]
-		t.AddRow(objs,
-			means(lb, func(s metrics.RunStats) float64 { return s.AUR }).String(),
-			means(lf, func(s metrics.RunStats) float64 { return s.AUR }).String(),
-			means(lb, func(s metrics.RunStats) float64 { return s.CMR }).String(),
-			means(lf, func(s metrics.RunStats) float64 { return s.CMR }).String(),
-		)
+		t.AddRow(append([]any{objs}, aurCMRCells(cells[pi][0], cells[pi][1])...)...)
 	}
 	return []*Table{t}, nil
 }
@@ -347,29 +301,20 @@ func Fig14(p Profile) ([]*Table, error) {
 	if p.Name == Quick.Name {
 		loads = []float64{0.3, 0.9}
 	}
-	points := make([]pairPoint, len(loads))
+	points := make([]sweepPoint, len(loads))
 	for pi, al := range loads {
-		points[pi] = pairPoint{
-			w: WorkloadSpec{
-				NumTasks: PaperTasks, NumObjects: 5, AccessesPerJob: 4,
-				MeanExec: 500 * rtime.Microsecond, TargetAL: al,
-				Class: HeterogeneousTUFs, MaxArrivals: 2,
-			},
-			r: DefaultR, s: DefaultS, opCost: DefaultOpCost,
-		}
+		points[pi] = defaultPoint(WorkloadSpec{
+			NumTasks: PaperTasks, NumObjects: 5, AccessesPerJob: 4,
+			MeanExec: 500 * rtime.Microsecond, TargetAL: al,
+			Class: HeterogeneousTUFs, MaxArrivals: 2,
+		})
 	}
-	lbs, lfs, err := runPairs(p, points)
+	cells, err := runSweep(p, points, pairModes, metrics.Analyze)
 	if err != nil {
 		return nil, err
 	}
 	for pi, al := range loads {
-		lb, lf := lbs[pi], lfs[pi]
-		t.AddRow(al,
-			means(lb, func(s metrics.RunStats) float64 { return s.AUR }).String(),
-			means(lf, func(s metrics.RunStats) float64 { return s.AUR }).String(),
-			means(lb, func(s metrics.RunStats) float64 { return s.CMR }).String(),
-			means(lf, func(s metrics.RunStats) float64 { return s.CMR }).String(),
-		)
+		t.AddRow(append([]any{al}, aurCMRCells(cells[pi][0], cells[pi][1])...)...)
 	}
 	return []*Table{t}, nil
 }
@@ -396,18 +341,14 @@ func Thm2(p Profile) ([]*Table, error) {
 	horizon := horizonFor(tasks, p)
 	// Per-seed runs are independent; fan out and fold the per-task retry
 	// maxima afterwards (max is commutative, so the merge is order-free).
-	perSeed, err := runner.Map(p.Jobs, len(p.Seeds), func(si int) ([]int64, error) {
-		ts := task.CloneAll(tasks)
-		res, err := sim.Run(sim.Config{
-			Tasks: ts, Scheduler: rua.NewLockFree(), Mode: sim.LockFree,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon:     horizon,
-			ArrivalKind: uam.KindBursty, Seed: p.Seeds[si], ConservativeRetry: true,
-		})
+	perSeed, err := runner.Grid(p.Jobs, 1, 1, len(p.Seeds), func(_, _, rep int) ([]int64, error) {
+		cfg := baseConfig(task.CloneAll(tasks), horizon, p.Seeds[rep])
+		cfg.Scheduler, cfg.Mode, cfg.ArrivalKind = rua.NewLockFree(), sim.LockFree, uam.KindBursty
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		maxr := make([]int64, len(ts))
+		maxr := make([]int64, len(cfg.Tasks))
 		for _, j := range res.Jobs {
 			if j.Retries > maxr[j.Task.ID] {
 				maxr[j.Task.ID] = j.Retries
@@ -419,7 +360,7 @@ func Thm2(p Profile) ([]*Table, error) {
 		return nil, err
 	}
 	maxRetries := map[int]int64{}
-	for _, maxr := range perSeed {
+	for _, maxr := range perSeed[0][0] {
 		for id, r := range maxr {
 			if r > maxRetries[id] {
 				maxRetries[id] = r
@@ -465,13 +406,13 @@ func Thm3(p Profile) ([]*Table, error) {
 		MeanExec: 400 * rtime.Microsecond, TargetAL: 0.5,
 		Class: StepTUFs, MaxArrivals: 1,
 	}
-	points := make([]pairPoint, len(ratios))
+	points := make([]sweepPoint, len(ratios))
 	svals := make([]rtime.Duration, len(ratios))
 	for pi, ratio := range ratios {
 		svals[pi] = rtime.Duration(math.Max(1, math.Round(float64(r)*ratio)))
-		points[pi] = pairPoint{w: w, r: r, s: svals[pi], opCost: DefaultOpCost}
+		points[pi] = sweepPoint{w: w, r: r, s: svals[pi], opCost: DefaultOpCost}
 	}
-	lbs, lfs, err := runPairs(p, points)
+	cells, err := runSweep(p, points, pairModes, metrics.Analyze)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +436,7 @@ func Thm3(p Profile) ([]*Table, error) {
 				minThresh = th
 			}
 		}
-		lb, lf := lbs[pi], lfs[pi]
+		lb, lf := cells[pi][0], cells[pi][1]
 		t.AddRow(ratio, fmt.Sprintf("%d/%d", wins, len(tasks)), minThresh,
 			means(lb, func(st metrics.RunStats) float64 { return float64(st.MeanSojourn) }).String(),
 			means(lf, func(st metrics.RunStats) float64 { return float64(st.MeanSojourn) }).String(),
@@ -519,7 +460,7 @@ func Costs(p Profile) ([]*Table, error) {
 		ns = []int{8, 32, 128}
 	}
 	type cell struct{ lb, lf int64 }
-	cells, err := runner.Map(p.Jobs, len(ns), func(i int) (cell, error) {
+	cells, err := runner.Grid(p.Jobs, len(ns), 1, 1, func(i, _, _ int) (cell, error) {
 		wLB, wLF := CostWorld(ns[i])
 		return cell{
 			lb: rua.NewLockBased().Select(wLB).Ops,
@@ -530,7 +471,7 @@ func Costs(p Profile) ([]*Table, error) {
 		return nil, err
 	}
 	for i, n := range ns {
-		c := cells[i]
+		c := cells[i][0][0]
 		ratio := float64(c.lb) / float64(c.lf)
 		t.AddRow(n, c.lb, c.lf, ratio, math.Log2(float64(n)))
 	}
@@ -548,7 +489,7 @@ func Costs(p Profile) ([]*Table, error) {
 func CostWorld(n int) (lockBased, lockFree sched.World) {
 	res := resource.NewMap()
 	w := WorkloadSpec{
-		NumTasks: n, NumObjects: maxInt(n, 1), AccessesPerJob: 1,
+		NumTasks: n, NumObjects: max(n, 1), AccessesPerJob: 1,
 		MeanExec: 300 * rtime.Microsecond, TargetAL: 0.8,
 		Class: HeterogeneousTUFs, MaxArrivals: 1,
 	}
@@ -611,10 +552,13 @@ func AURBoundsExp(p Profile) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lb, lf, err := bothModes(w, p, DefaultR, DefaultS, 0)
+	pt := defaultPoint(w)
+	pt.opCost = 0
+	cells, err := runSweep(p, []sweepPoint{pt}, pairModes, metrics.Analyze)
 	if err != nil {
 		return nil, err
 	}
+	lb, lf := cells[0][0], cells[0][1]
 	const eps = 1e-9
 	mlb := means(lb, func(s metrics.RunStats) float64 { return s.AUR })
 	mlf := means(lf, func(s metrics.RunStats) float64 { return s.AUR })

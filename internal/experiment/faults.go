@@ -10,7 +10,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/task"
-	"repro/internal/uam"
 )
 
 // FaultSweep sweeps the heavy fault plan's intensity from 0 (fault-free)
@@ -24,7 +23,7 @@ import (
 //
 // Determinism: the plan seed is fixed and injection decisions are pure
 // hashes of (seed, task, indices), so every cell is a pure function of
-// its grid slot; cells fan out on runner.Map and merge by index, making
+// its grid slot; cells fan out on runner.Grid and merge by index, making
 // the rendered table byte-identical for any Jobs value.
 func FaultSweep(p Profile) ([]*Table, error) {
 	t := &Table{
@@ -53,7 +52,7 @@ func FaultSweep(p Profile) ([]*Table, error) {
 	base := fault.Heavy()
 	base.Seed = 1
 
-	// Grid: intensity × seed × {plain, shed}; index-addressed results.
+	// Grid: intensity × {plain, shed} × seed.
 	type cell struct {
 		stats      metrics.RunStats
 		injRetries int64
@@ -61,22 +60,14 @@ func FaultSweep(p Profile) ([]*Table, error) {
 		stalls     int64
 		sheds      int64
 	}
-	nSeeds := len(p.Seeds)
-	cells, err := runner.Map(p.Jobs, len(intensities)*nSeeds*2, func(i int) (cell, error) {
-		ii := i / (2 * nSeeds)
-		seed := p.Seeds[(i/2)%nSeeds]
-		shed := i%2 == 1
-		plan := base.Scale(intensities[ii])
+	cells, err := runner.Grid(p.Jobs, len(intensities), 2, len(p.Seeds), func(ii, shed, rep int) (cell, error) {
+		cfg := baseConfig(task.CloneAll(template), horizon, p.Seeds[rep])
 		s := rua.NewLockFree()
-		if shed {
+		if shed == 1 {
 			s = s.WithDegradation()
 		}
-		res, err := sim.Run(sim.Config{
-			Tasks: task.CloneAll(template), Scheduler: s, Mode: sim.LockFree,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
-			ConservativeRetry: true, Fault: plan,
-		})
+		cfg.Scheduler, cfg.Mode, cfg.Fault = s, sim.LockFree, base.Scale(intensities[ii])
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return cell{}, err
 		}
@@ -92,26 +83,21 @@ func FaultSweep(p Profile) ([]*Table, error) {
 		return nil, err
 	}
 	for ii, intensity := range intensities {
-		var plain, shed []metrics.RunStats
+		var stats [2][]metrics.RunStats // plain, shed
 		var injRetries, overruns, stalls, sheds int64
-		for si := 0; si < nSeeds; si++ {
-			idx := (ii*nSeeds + si) * 2
-			plain = append(plain, cells[idx].stats)
-			shed = append(shed, cells[idx+1].stats)
-			for _, c := range []cell{cells[idx], cells[idx+1]} {
+		for v, runs := range cells[ii] {
+			for _, c := range runs {
+				stats[v] = append(stats[v], c.stats)
 				injRetries += c.injRetries
 				overruns += c.overruns
 				stalls += c.stalls
+				if v == 1 {
+					sheds += c.sheds
+				}
 			}
-			sheds += cells[idx+1].sheds
 		}
-		t.AddRow(intensity,
-			means(plain, func(s metrics.RunStats) float64 { return s.AUR }).String(),
-			means(shed, func(s metrics.RunStats) float64 { return s.AUR }).String(),
-			means(plain, func(s metrics.RunStats) float64 { return s.CMR }).String(),
-			means(shed, func(s metrics.RunStats) float64 { return s.CMR }).String(),
-			injRetries, overruns, stalls, sheds,
-		)
+		row := append([]any{intensity}, aurCMRCells(stats[0], stats[1])...)
+		t.AddRow(append(row, injRetries, overruns, stalls, sheds)...)
 	}
 	return []*Table{t}, nil
 }

@@ -1,14 +1,9 @@
 package experiment
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/rtime"
-	"repro/internal/rua"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/task"
-	"repro/internal/uam"
 )
 
 // LockDisciplines lines up the synchronization disciplines of §1.1 on
@@ -27,67 +22,30 @@ func LockDisciplines(p Profile) ([]*Table, error) {
 		Note:    "10 tasks, 6 accesses over 2 objects; AUR mean ± 95% CI",
 		Columns: []string{"AL", "AUR_edf_locks", "AUR_pip_locks", "AUR_rua_locks", "AUR_rua_lockfree"},
 	}
-	type variant struct {
-		sched func() sched.Scheduler
-		mode  sim.Mode
-	}
 	variants := []variant{
 		{func() sched.Scheduler { return sched.EDF{} }, sim.LockBased},
 		{func() sched.Scheduler { return sched.PIP{} }, sim.LockBased},
-		{func() sched.Scheduler { return rua.NewLockBased() }, sim.LockBased},
-		{func() sched.Scheduler { return rua.NewLockFree() }, sim.LockFree},
+		lockBasedRUA,
+		lockFreeRUA,
 	}
 	loads := []float64{0.3, 0.6, 0.9}
 	if p.Name == Quick.Name {
 		loads = []float64{0.6}
 	}
-	templates := make([][]*task.Task, len(loads))
-	horizons := make([]rtime.Time, len(loads))
+	points := make([]sweepPoint, len(loads))
 	for li, al := range loads {
-		w := WorkloadSpec{
+		points[li] = defaultPoint(WorkloadSpec{
 			NumTasks: PaperTasks, NumObjects: 2, AccessesPerJob: 6,
 			MeanExec: 500 * rtime.Microsecond, TargetAL: al,
 			Class: StepTUFs, MaxArrivals: 2,
-		}
-		tasks, err := w.Build()
-		if err != nil {
-			return nil, err
-		}
-		templates[li] = tasks
-		horizons[li] = horizonFor(tasks, p)
-	}
-	nSeeds, nV := len(p.Seeds), len(variants)
-	cells, err := runner.Map(p.Jobs, len(loads)*nSeeds*nV, func(i int) (float64, error) {
-		li := i / (nSeeds * nV)
-		seed := p.Seeds[(i/nV)%nSeeds]
-		v := variants[i%nV]
-		res, err := sim.Run(sim.Config{
-			Tasks: task.CloneAll(templates[li]), Scheduler: v.sched(), Mode: v.mode,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon:     horizons[li],
-			ArrivalKind: uam.KindJittered, Seed: seed, ConservativeRetry: true,
 		})
-		if err != nil {
-			return 0, err
-		}
-		return metrics.Analyze(res).AUR, nil
-	})
+	}
+	aurs, err := runSweep(p, points, variants, aur)
 	if err != nil {
 		return nil, err
 	}
 	for li, al := range loads {
-		aurs := make([][]float64, nV)
-		for si := 0; si < nSeeds; si++ {
-			for vi := 0; vi < nV; vi++ {
-				aurs[vi] = append(aurs[vi], cells[(li*nSeeds+si)*nV+vi])
-			}
-		}
-		t.AddRow(al,
-			metrics.Summarize(aurs[0]).String(),
-			metrics.Summarize(aurs[1]).String(),
-			metrics.Summarize(aurs[2]).String(),
-			metrics.Summarize(aurs[3]).String(),
-		)
+		t.AddRow(summaryRow(al, aurs[li])...)
 	}
 	return []*Table{t}, nil
 }

@@ -2,13 +2,47 @@ package experiment
 
 import (
 	"repro/internal/metrics"
-	"repro/internal/multi"
 	"repro/internal/rtime"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/task"
-	"repro/internal/uam"
 )
+
+// multiCPUCounts is the processor-count axis of the multiprocessor
+// sweeps.
+func multiCPUCounts(p Profile) []int {
+	if p.Name == Quick.Name {
+		return []int{1, 4}
+	}
+	return []int{1, 2, 4, 8}
+}
+
+// multiWorkload builds the multiprocessor sweeps' template, MultiTasks
+// tasks at total load ≈ 2.2, and its horizon under p. Sharing is
+// re-clustered into pairs (task 2k and 2k+1 share private object k):
+// the default workload's object ring would fuse all tasks into ONE
+// component, which the object-aware partitioner must keep whole —
+// partitioning can only help when the sharing graph actually
+// decomposes.
+func multiWorkload(p Profile) ([]*task.Task, rtime.Time, error) {
+	w := WorkloadSpec{
+		NumTasks: MultiTasks, NumObjects: 8, AccessesPerJob: 2,
+		MeanExec: 500 * rtime.Microsecond, TargetAL: 2.2,
+		Class: StepTUFs, MaxArrivals: 2,
+	}
+	template, err := w.Build()
+	if err != nil {
+		return nil, 0, err
+	}
+	for i, tk := range template {
+		for si, seg := range tk.Segments {
+			if seg.Kind == task.Access {
+				tk.Segments[si].Object = i / 2
+			}
+		}
+	}
+	return template, horizonFor(template, p), nil
+}
 
 // MultiCPU extends the evaluation toward the paper's §7 future work:
 // partitioned multiprocessor RUA. A task set with total load ≈ 2.2 —
@@ -24,49 +58,19 @@ func MultiCPU(p Profile) ([]*Table, error) {
 		Note:    "16 tasks over 8 objects, lock-free RUA per CPU, object-aware partitioning",
 		Columns: []string{"cpus", "AUR", "CMR", "retries"},
 	}
-	cpuCounts := []int{1, 2, 4, 8}
-	if p.Name == Quick.Name {
-		cpuCounts = []int{1, 4}
-	}
-	w := WorkloadSpec{
-		NumTasks: MultiTasks, NumObjects: 8, AccessesPerJob: 2,
-		MeanExec: 500 * rtime.Microsecond, TargetAL: 2.2,
-		Class: StepTUFs, MaxArrivals: 2,
-	}
-	template, err := w.Build()
+	cpuCounts := multiCPUCounts(p)
+	template, horizon, err := multiWorkload(p)
 	if err != nil {
 		return nil, err
 	}
-	// Re-cluster sharing into pairs (task 2k and 2k+1 share private
-	// object k): the default workload's object ring would fuse all
-	// tasks into ONE component, which the object-aware partitioner
-	// must keep whole — partitioning can only help when the sharing
-	// graph actually decomposes.
-	for i, tk := range template {
-		obj := i / 2
-		for si, seg := range tk.Segments {
-			if seg.Kind == task.Access {
-				tk.Segments[si].Object = obj
-			}
-		}
-	}
-	horizon := horizonFor(template, p)
-	type cell struct {
-		aur, cmr float64
-		retries  int64
-	}
-	nSeeds := len(p.Seeds)
-	cells, err := runner.Map(p.Jobs, len(cpuCounts)*nSeeds, func(i int) (cell, error) {
-		res, err := multi.Run(multi.Config{
-			CPUs: cpuCounts[i/nSeeds], Tasks: task.CloneAll(template), Mode: sim.LockFree,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon:     horizon,
-			ArrivalKind: uam.KindJittered, Seed: p.Seeds[i%nSeeds], ConservativeRetry: true,
-		})
+	cells, err := runner.Grid(p.Jobs, len(cpuCounts), 1, len(p.Seeds), func(ci, _, rep int) (metrics.RunStats, error) {
+		cfg := baseConfig(task.CloneAll(template), horizon, p.Seeds[rep])
+		cfg.Mode = sim.LockFree
+		stats, err := runEngine(TraceSimMulti, cpuCounts[ci], cfg, false)
 		if err != nil {
-			return cell{}, err
+			return metrics.RunStats{}, err
 		}
-		return cell{aur: res.Stats.AUR, cmr: res.Stats.CMR, retries: res.Stats.Retries}, nil
+		return stats(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -74,11 +78,10 @@ func MultiCPU(p Profile) ([]*Table, error) {
 	for ci, cpus := range cpuCounts {
 		var aurs, cmrs []float64
 		var retries int64
-		for si := 0; si < nSeeds; si++ {
-			c := cells[ci*nSeeds+si]
-			aurs = append(aurs, c.aur)
-			cmrs = append(cmrs, c.cmr)
-			retries += c.retries
+		for _, st := range cells[ci][0] {
+			aurs = append(aurs, st.AUR)
+			cmrs = append(cmrs, st.CMR)
+			retries += st.Retries
 		}
 		t.AddRow(cpus,
 			metrics.Summarize(aurs).String(),

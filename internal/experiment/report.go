@@ -13,20 +13,6 @@ import (
 	"repro/internal/trace/span"
 )
 
-// reportCombos is the fixed run grid of BuildReport: every simulator in
-// both synchronization modes, in the order the report's sections appear.
-var reportCombos = []struct {
-	sim       string
-	lockBased bool
-}{
-	{TraceSimUni, false},
-	{TraceSimUni, true},
-	{TraceSimMulti, false},
-	{TraceSimMulti, true},
-	{TraceSimGlobal, false},
-	{TraceSimGlobal, true},
-}
-
 // Histogram shapes shared by every run so cross-seed merges line up.
 func newRetryHist() *hist.Hist { return hist.Exp2(1 << 12) }
 
@@ -38,32 +24,20 @@ func newSojournHist() *hist.Hist { return hist.Exp2(1 << 26) }
 // 2/3 bound check and, for the first seed of each combo, a virtual-time
 // series; then it attaches the requested figure tables. No cell buffers
 // its events: memory per cell is O(series windows + live jobs). Cells
-// fan out on runner.Map and merge by index, so the result — and
+// fan out on runner.Grid and merge by index, so the result — and
 // everything rendered from it — is identical for any p.Jobs value.
 func BuildReport(p Profile, figIDs []string) (*report.Report, error) {
-	type cell struct {
-		combo int
-		seed  int64
-		first bool // first seed of its combo: folds the series
-	}
-	var cells []cell
-	for ci := range reportCombos {
-		for si, seed := range p.Seeds {
-			cells = append(cells, cell{combo: ci, seed: seed, first: si == 0})
-		}
-	}
 	type outcome struct {
 		jobs, completed, aborted, shed int64
 		retries, sojourn               *hist.Hist
 		res                            *obs.Results
 	}
-	outs, err := runner.Map(p.Jobs, len(cells), func(i int) (outcome, error) {
-		c := cells[i]
-		combo := reportCombos[c.combo]
+	outs, err := runner.Grid(p.Jobs, len(traceSims), len(traceModes), len(p.Seeds), func(si, mi, rep int) (outcome, error) {
 		o := outcome{retries: newRetryHist(), sojourn: newSojournHist()}
 		// Jobs stream through as they depart; only the histograms and
-		// counters stay behind.
-		res, err := foldTrace(p, combo.sim, combo.lockBased, c.seed, c.first, func(s *span.JobSpan) {
+		// counters stay behind. The first seed of each run folds the
+		// series.
+		res, err := foldTrace(p, traceSims[si], traceModes[mi], p.Seeds[rep], rep == 0, func(s *span.JobSpan) {
 			o.jobs++
 			o.retries.Add(s.Retries)
 			switch s.Outcome {
@@ -92,47 +66,43 @@ func BuildReport(p Profile, figIDs []string) (*report.Report, error) {
 		Profile:  p.Name,
 		Workload: "thm2-trace",
 	}
-	for ci, combo := range reportCombos {
-		mode := "lockfree"
-		modeLabel := "lock-free"
-		if combo.lockBased {
-			mode = "lockbased"
-			modeLabel = "lock-based"
+	for si, simName := range traceSims {
+		for mi, lockBased := range traceModes {
+			mode := "lockfree"
+			if lockBased {
+				mode = "lockbased"
+			}
+			run := report.Run{
+				Name: simName + "-" + mode,
+				Sim:  simName,
+				Mode: modeLabel(lockBased),
+			}
+			retries, sojourn := newRetryHist(), newSojournHist()
+			var merged *check.Report
+			opSet := &ops.Set{}
+			for i, o := range outs[si][mi] {
+				run.Seeds = append(run.Seeds, p.Seeds[i])
+				run.Jobs += o.jobs
+				run.Completed += o.completed
+				run.Aborted += o.aborted
+				run.Shed += o.shed
+				if err := retries.Merge(o.retries); err != nil {
+					return nil, fmt.Errorf("experiment: merge %s retry hist: %w", run.Name, err)
+				}
+				if err := sojourn.Merge(o.sojourn); err != nil {
+					return nil, fmt.Errorf("experiment: merge %s sojourn hist: %w", run.Name, err)
+				}
+				merged = mergeChecks(merged, o.res.Check)
+				if err := opSet.Merge(o.res.Ops); err != nil {
+					return nil, fmt.Errorf("experiment: merge %s op telemetry: %w", run.Name, err)
+				}
+				if i == 0 {
+					run.Series = o.res.Series
+				}
+			}
+			finishRun(&run, lockBased, merged, opSet, retries, sojourn)
+			rep.Runs = append(rep.Runs, run)
 		}
-		run := report.Run{
-			Name: combo.sim + "-" + mode,
-			Sim:  combo.sim,
-			Mode: modeLabel,
-		}
-		retries, sojourn := newRetryHist(), newSojournHist()
-		var merged *check.Report
-		opSet := &ops.Set{}
-		for i, c := range cells {
-			if c.combo != ci {
-				continue
-			}
-			o := outs[i]
-			run.Seeds = append(run.Seeds, c.seed)
-			run.Jobs += o.jobs
-			run.Completed += o.completed
-			run.Aborted += o.aborted
-			run.Shed += o.shed
-			if err := retries.Merge(o.retries); err != nil {
-				return nil, fmt.Errorf("experiment: merge %s retry hist: %w", run.Name, err)
-			}
-			if err := sojourn.Merge(o.sojourn); err != nil {
-				return nil, fmt.Errorf("experiment: merge %s sojourn hist: %w", run.Name, err)
-			}
-			merged = mergeChecks(merged, o.res.Check)
-			if err := opSet.Merge(o.res.Ops); err != nil {
-				return nil, fmt.Errorf("experiment: merge %s op telemetry: %w", run.Name, err)
-			}
-			if c.first {
-				run.Series = o.res.Series
-			}
-		}
-		finishRun(&run, combo.lockBased, merged, opSet, retries, sojourn)
-		rep.Runs = append(rep.Runs, run)
 	}
 	if err := attachFigs(rep, p, figIDs); err != nil {
 		return nil, err

@@ -26,8 +26,8 @@ func TestBuildReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != len(reportCombos) {
-		t.Fatalf("runs = %d, want %d", len(rep.Runs), len(reportCombos))
+	if want := len(traceSims) * len(traceModes); len(rep.Runs) != want {
+		t.Fatalf("runs = %d, want %d", len(rep.Runs), want)
 	}
 	for i := range rep.Runs {
 		run := &rep.Runs[i]

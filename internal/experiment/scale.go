@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/multi"
-	"repro/internal/rua"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/task"
-	"repro/internal/uam"
 )
 
 // scaleCPUs is the processor count the multiprocessor engines use in the
@@ -52,7 +49,7 @@ func Scale(p Profile) ([]*Table, error) {
 	// already scales linearly with n, and the sweep's point is breadth in
 	// n, not depth in virtual time.
 	hp := p
-	hp.HorizonMult = minInt(p.HorizonMult, Quick.HorizonMult)
+	hp.HorizonMult = min(p.HorizonMult, Quick.HorizonMult)
 
 	templates := make([][]*task.Task, len(ns))
 	for i, n := range ns {
@@ -63,67 +60,30 @@ func Scale(p Profile) ([]*Table, error) {
 		templates[i] = tasks
 	}
 
-	type combo struct {
+	combos := []struct {
 		engine string
 		mode   sim.Mode
+	}{
+		{TraceSimUni, sim.LockFree}, {TraceSimUni, sim.LockBased},
+		{TraceSimMulti, sim.LockFree}, {TraceSimMulti, sim.LockBased},
+		{TraceSimGlobal, sim.LockFree}, {TraceSimGlobal, sim.LockBased},
 	}
-	combos := []combo{
-		{"uni", sim.LockFree}, {"uni", sim.LockBased},
-		{"multi", sim.LockFree}, {"multi", sim.LockBased},
-		{"global", sim.LockFree}, {"global", sim.LockBased},
-	}
-	seed := Quick.Seeds[0]
-	cells, err := runner.Map(p.Jobs, len(ns)*len(combos), func(i int) (metrics.RunStats, error) {
-		tasks := task.CloneAll(templates[i/len(combos)])
-		cb := combos[i%len(combos)]
-		horizon := horizonFor(tasks, hp)
-		newSched := func() *rua.RUA {
-			if cb.mode == sim.LockFree {
-				return rua.NewLockFree()
-			}
-			return rua.NewLockBased()
+	cells, err := runner.Grid(p.Jobs, len(ns), len(combos), 1, func(ni, ci, _ int) (metrics.RunStats, error) {
+		tasks := task.CloneAll(templates[ni])
+		cfg := baseConfig(tasks, horizonFor(tasks, hp), Quick.Seeds[0])
+		cfg.Mode, cfg.OpCost = combos[ci].mode, 0
+		stats, err := runEngine(combos[ci].engine, scaleCPUs, cfg, false)
+		if err != nil {
+			return metrics.RunStats{}, err
 		}
-		switch cb.engine {
-		case "uni":
-			res, err := sim.Run(sim.Config{
-				Tasks: tasks, Scheduler: newSched(), Mode: cb.mode,
-				R: DefaultR, S: DefaultS, OpCost: 0,
-				Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
-				ConservativeRetry: true,
-			})
-			if err != nil {
-				return metrics.RunStats{}, err
-			}
-			return metrics.Analyze(res), nil
-		case "multi":
-			res, err := multi.Run(multi.Config{
-				CPUs: scaleCPUs, Tasks: tasks, Mode: cb.mode,
-				R: DefaultR, S: DefaultS, OpCost: 0,
-				Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
-				ConservativeRetry: true,
-			})
-			if err != nil {
-				return metrics.RunStats{}, err
-			}
-			return res.Stats, nil
-		default: // global
-			res, err := sim.RunGlobal(sim.GlobalConfig{
-				CPUs: scaleCPUs, Tasks: tasks, Scheduler: newSched(), Mode: cb.mode,
-				R: DefaultR, S: DefaultS, OpCost: 0,
-				Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
-			})
-			if err != nil {
-				return metrics.RunStats{}, err
-			}
-			return metrics.Analyze(res), nil
-		}
+		return stats(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for ni, n := range ns {
 		for ci, cb := range combos {
-			st := cells[ni*len(combos)+ci]
+			st := cells[ni][ci][0]
 			mode := "lockfree"
 			if cb.mode == sim.LockBased {
 				mode = "lockbased"

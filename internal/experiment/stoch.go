@@ -14,7 +14,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stoch"
 	"repro/internal/task"
-	"repro/internal/uam"
 )
 
 // stochDists is the sweep's scheduler axis: the deterministic baseline
@@ -74,7 +73,7 @@ func privatizeObjects(template []*task.Task, numObjects int) []*task.Task {
 // rate as scheduling noise widens the contention window?
 //
 // Determinism: stochastic decisions are pure hashes of (plan seed,
-// cpu, tick); cells fan out on runner.Map and merge by index, so the
+// cpu, tick); cells fan out on runner.Grid and merge by index, so the
 // table is byte-identical for any Jobs value.
 func StochSweep(p Profile) ([]*Table, error) {
 	t := &Table{
@@ -105,25 +104,14 @@ func StochSweep(p Profile) ([]*Table, error) {
 		ops      *ops.Set
 		preempts int64
 	}
-	nSeeds := len(p.Seeds)
-	nModes := len(stochModes)
-	cells, err := runner.Map(p.Jobs, len(dists)*nModes*nSeeds, func(i int) (cell, error) {
-		di := i / (nModes * nSeeds)
-		mode := stochModes[(i/nSeeds)%nModes]
-		seed := p.Seeds[i%nSeeds]
-
-		tasks := task.CloneAll(template)
-		simMode := sim.LockFree
-		var sched *rua.RUA
-		switch mode {
-		case "lockfree":
-			sched = rua.NewLockFree()
+	cells, err := runner.Grid(p.Jobs, len(dists), len(stochModes), len(p.Seeds), func(di, mi, rep int) (cell, error) {
+		cfg := baseConfig(task.CloneAll(template), horizon, p.Seeds[rep])
+		cfg.Scheduler, cfg.Mode = rua.NewLockFree(), sim.LockFree
+		switch stochModes[mi] {
 		case "lockbased":
-			sched = rua.NewLockBased()
-			simMode = sim.LockBased
+			cfg.Scheduler, cfg.Mode = rua.NewLockBased(), sim.LockBased
 		case "waitfree":
-			sched = rua.NewLockFree()
-			tasks = privatizeObjects(template, w.NumObjects)
+			cfg.Tasks = privatizeObjects(template, w.NumObjects)
 		}
 		pipe, err := obs.NewPipeline(obs.Config{
 			Horizon: horizon, CPUs: 1, SeriesWindow: series.WindowFor(horizon, 0),
@@ -131,15 +119,11 @@ func StochSweep(p Profile) ([]*Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		res, err := sim.Run(sim.Config{
-			Tasks: tasks, Scheduler: sched, Mode: simMode,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
-			// Conflict-driven retries (not the conservative any-preemption
-			// rule): the wait-free stub must measure exactly zero failures,
-			// and the predictor's x-axis should count real conflicts.
-			ConservativeRetry: false, Stoch: dists[di].plan, Observer: pipe.Observer(),
-		})
+		// Conflict-driven retries (not the conservative any-preemption
+		// rule): the wait-free stub must measure exactly zero failures,
+		// and the predictor's x-axis should count real conflicts.
+		cfg.ConservativeRetry, cfg.Stoch, cfg.Observer = false, dists[di].plan, pipe.Observer()
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return cell{}, err
 		}
@@ -172,8 +156,7 @@ func StochSweep(p Profile) ([]*Table, error) {
 			var predSum float64
 			var preempts int64
 			merged := &ops.Set{}
-			for si := 0; si < nSeeds; si++ {
-				c := cells[(di*nModes+mi)*nSeeds+si]
+			for _, c := range cells[di][mi] {
 				stats = append(stats, c.stats)
 				relErrs = append(relErrs, c.relErr)
 				commits += c.commits

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/metrics/series"
 	"repro/internal/multi"
 	"repro/internal/obs"
@@ -80,59 +81,76 @@ func TraceSetup(p Profile) ([]*task.Task, rtime.Time, error) {
 	return tasks, horizonFor(tasks, p), nil
 }
 
+// traceSims and traceModes are the simulator and synchronization axes
+// of the traced grids (BuildReport, CheckBounds): modes lock-free, then
+// lock-based.
+var (
+	traceSims  = []string{TraceSimUni, TraceSimMulti, TraceSimGlobal}
+	traceModes = []bool{false, true}
+)
+
+// runEngine runs cfg on the named engine — uniprocessor, partitioned or
+// global, the last two on cpus processors — scheduled by fresh RUA
+// instances for cfg.Mode; shed selects the admission-control variant of
+// lock-free RUA. The global engine has no retry-accounting choice and
+// ignores cfg.ConservativeRetry. The returned func digests the finished
+// run on demand, so callers that only stream its events pay nothing
+// for it.
+func runEngine(engine string, cpus int, cfg sim.Config, shed bool) (func() metrics.RunStats, error) {
+	newRUA := func() *rua.RUA {
+		if cfg.Mode == sim.LockBased {
+			return rua.NewLockBased()
+		}
+		if shed {
+			return rua.NewLockFree().WithDegradation()
+		}
+		return rua.NewLockFree()
+	}
+	switch engine {
+	case TraceSimUni:
+		cfg.Scheduler = newRUA()
+		res, err := sim.Run(cfg)
+		return func() metrics.RunStats { return metrics.Analyze(res) }, err
+	case TraceSimMulti:
+		res, err := multi.Run(multi.Config{
+			CPUs: cpus, Tasks: cfg.Tasks, Mode: cfg.Mode,
+			NewScheduler: func() sched.Scheduler { return newRUA() },
+			R:            cfg.R, S: cfg.S, OpCost: cfg.OpCost,
+			Horizon: cfg.Horizon, ArrivalKind: cfg.ArrivalKind, Seed: cfg.Seed,
+			ConservativeRetry: cfg.ConservativeRetry,
+			Fault:             cfg.Fault, Stoch: cfg.Stoch, Observer: cfg.Observer,
+		})
+		return func() metrics.RunStats { return res.Stats }, err
+	case TraceSimGlobal:
+		res, err := sim.RunGlobal(sim.GlobalConfig{
+			CPUs: cpus, Tasks: cfg.Tasks, Scheduler: newRUA(), Mode: cfg.Mode,
+			R: cfg.R, S: cfg.S, OpCost: cfg.OpCost,
+			Horizon: cfg.Horizon, ArrivalKind: cfg.ArrivalKind, Seed: cfg.Seed,
+			Fault: cfg.Fault, Stoch: cfg.Stoch, Observer: cfg.Observer,
+		})
+		return func() metrics.RunStats { return metrics.Analyze(res) }, err
+	}
+	return nil, fmt.Errorf("experiment: unknown trace simulator %q (want %s|%s|%s)",
+		engine, TraceSimUni, TraceSimMulti, TraceSimGlobal)
+}
+
 // StreamTrace executes one simulation of the canonical trace workload
 // (tasks and horizon from TraceSetup) feeding every event to observer
 // as it happens — nothing is buffered. The event stream is
 // nondecreasing in Event.At on every simulator, so online sinks
 // (internal/obs) fold it directly.
 func StreamTrace(p Profile, simName string, lockBased bool, seed int64, tasks []*task.Task, horizon rtime.Time, observer func(trace.Event)) error {
-	var err error
-	mode := sim.LockFree
+	cfg := baseConfig(tasks, horizon, seed)
+	cfg.Mode = sim.LockFree
 	if lockBased {
-		mode = sim.LockBased
+		cfg.Mode = sim.LockBased
 	}
+	cfg.Fault, cfg.Stoch, cfg.Observer = p.Fault, p.Stoch, observer
 	// Under an active fault plan, lock-free runs use the
 	// admission-control RUA variant so overload shedding shows up in the
-	// traced timeline. With a nil/zero plan every configuration below is
+	// traced timeline. With a nil/zero plan every configuration is
 	// identical to the fault-free path, event for event.
-	degrade := p.Fault.Active() && !lockBased
-	newRUA := func() *rua.RUA {
-		if lockBased {
-			return rua.NewLockBased()
-		}
-		r := rua.NewLockFree()
-		if degrade {
-			r = r.WithDegradation()
-		}
-		return r
-	}
-	switch simName {
-	case TraceSimUni:
-		_, err = sim.Run(sim.Config{
-			Tasks: tasks, Scheduler: newRUA(), Mode: mode,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
-			ConservativeRetry: true, Fault: p.Fault, Stoch: p.Stoch, Observer: observer,
-		})
-	case TraceSimMulti:
-		_, err = multi.Run(multi.Config{
-			CPUs: TraceCPUs, Tasks: tasks, Mode: mode,
-			NewScheduler: func() sched.Scheduler { return newRUA() },
-			R:            DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
-			ConservativeRetry: true, Fault: p.Fault, Stoch: p.Stoch, Observer: observer,
-		})
-	case TraceSimGlobal:
-		_, err = sim.RunGlobal(sim.GlobalConfig{
-			CPUs: TraceCPUs, Tasks: tasks, Scheduler: newRUA(), Mode: mode,
-			R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
-			Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: seed,
-			Fault: p.Fault, Stoch: p.Stoch, Observer: observer,
-		})
-	default:
-		return fmt.Errorf("experiment: unknown trace simulator %q (want %s|%s|%s)",
-			simName, TraceSimUni, TraceSimMulti, TraceSimGlobal)
-	}
+	_, err := runEngine(simName, TraceCPUs, cfg, p.Fault.Active())
 	return err
 }
 
@@ -202,31 +220,18 @@ func boundCheckConfig(p Profile, lockBased bool, tasks []*task.Task) check.Confi
 // bound to check against.
 //
 // It returns the rendered report (byte-identical for any jobs value —
-// cells fan out on runner.Map and merge by index) and whether every
+// cells fan out on runner.Grid and merge by index) and whether every
 // bound held.
 func CheckBounds(p Profile) (string, bool, error) {
-	type cell struct {
-		sim       string
-		lockBased bool
-		seed      int64
-	}
-	var cells []cell
-	for _, simName := range []string{TraceSimUni, TraceSimMulti} {
-		for _, lockBased := range []bool{false, true} {
-			for _, seed := range p.Seeds {
-				cells = append(cells, cell{sim: simName, lockBased: lockBased, seed: seed})
-			}
-		}
-	}
+	sims := traceSims[:2] // uni, multi: the engines with Theorem 2/3 bounds
 	type outcome struct {
 		jobs, completed int
 		retries         int64
 		report          *check.Report
 	}
-	outs, err := runner.Map(p.Jobs, len(cells), func(i int) (outcome, error) {
-		c := cells[i]
+	outs, err := runner.Grid(p.Jobs, len(sims), len(traceModes), len(p.Seeds), func(si, mi, rep int) (outcome, error) {
 		var o outcome
-		res, err := foldTrace(p, c.sim, c.lockBased, c.seed, false, func(s *span.JobSpan) {
+		res, err := foldTrace(p, sims[si], traceModes[mi], p.Seeds[rep], false, func(s *span.JobSpan) {
 			o.jobs++
 			o.retries += s.Retries
 			if s.Outcome == span.Completed {
@@ -248,21 +253,20 @@ func CheckBounds(p Profile) (string, bool, error) {
 	fmt.Fprintf(&b, "%-7s %-11s %6s %6s %6s %8s %6s\n", "sim", "mode", "seed", "jobs", "done", "retries", "viol")
 	ok := true
 	expected := 0
-	for i, c := range cells {
-		o := outs[i]
-		mode := "lock-free"
-		if c.lockBased {
-			mode = "lock-based"
-		}
-		fmt.Fprintf(&b, "%-7s %-11s %6d %6d %6d %8d %6d\n",
-			c.sim, mode, c.seed, o.jobs, o.completed, o.retries, len(o.report.Violations))
-		expected += len(o.report.Violations) - o.report.Unexpected()
-		if !o.report.OK() {
-			ok = false
-		}
-		for _, v := range o.report.Violations {
-			if !v.Expected {
-				fmt.Fprintf(&b, "  VIOLATION %s\n", v)
+	for si, simName := range sims {
+		for mi, lockBased := range traceModes {
+			for rep, o := range outs[si][mi] {
+				fmt.Fprintf(&b, "%-7s %-11s %6d %6d %6d %8d %6d\n",
+					simName, modeLabel(lockBased), p.Seeds[rep], o.jobs, o.completed, o.retries, len(o.report.Violations))
+				expected += len(o.report.Violations) - o.report.Unexpected()
+				if !o.report.OK() {
+					ok = false
+				}
+				for _, v := range o.report.Violations {
+					if !v.Expected {
+						fmt.Fprintf(&b, "  VIOLATION %s\n", v)
+					}
+				}
 			}
 		}
 	}
@@ -275,4 +279,12 @@ func CheckBounds(p Profile) (string, bool, error) {
 		b.WriteString("BOUND VIOLATIONS FOUND\n")
 	}
 	return b.String(), ok, nil
+}
+
+// modeLabel names a synchronization mode in rendered output.
+func modeLabel(lockBased bool) string {
+	if lockBased {
+		return "lock-based"
+	}
+	return "lock-free"
 }

@@ -127,14 +127,11 @@ func (w WorkloadSpec) Build() ([]*task.Task, error) {
 	if w.AccessesPerJob > 0 && w.NumObjects <= 0 {
 		return nil, fmt.Errorf("experiment: accesses requested with no objects")
 	}
-	a := w.MaxArrivals
-	if a < 1 {
-		a = 1
-	}
+	a := max(w.MaxArrivals, 1)
 	tasks := make([]*task.Task, w.NumTasks)
 	for i := range tasks {
 		// Spread compute times deterministically in [0.5, 1.5]·MeanExec.
-		frac := 0.5 + float64(i)/float64(maxInt(w.NumTasks-1, 1))
+		frac := 0.5 + float64(i)/float64(max(w.NumTasks-1, 1))
 		u := rtime.Duration(float64(w.MeanExec) * frac)
 		if u < 1 {
 			u = 1
@@ -158,11 +155,11 @@ func (w WorkloadSpec) Build() ([]*task.Task, error) {
 		} else {
 			f = tuf.MustStep(util, c)
 		}
-		objs := make([]int, maxInt(w.AccessesPerJob, 1))
+		objs := make([]int, max(w.AccessesPerJob, 1))
 		for k := range objs {
-			objs[k] = w.ObjectIDOffset + (i+k)%maxInt(w.NumObjects, 1)
+			objs[k] = w.ObjectIDOffset + (i+k)%max(w.NumObjects, 1)
 		}
-		l := maxInt(0, 2-a)
+		l := max(0, 2-a)
 		win := rtime.Duration(int64(l+a) * int64(c) / 2)
 		if win < c {
 			win = c
@@ -187,20 +184,6 @@ func (w WorkloadSpec) Build() ([]*task.Task, error) {
 	return tasks, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ScaleObjectsPerCluster is the private object pool each PaperTasks-sized
 // cluster of the scale workload shares.
 const ScaleObjectsPerCluster = 5
@@ -221,7 +204,7 @@ func ScaleWorkload(n int, al float64, class TUFClass) ([]*task.Task, error) {
 	}
 	tasks := make([]*task.Task, 0, n)
 	for off := 0; off < n; off += PaperTasks {
-		sz := minInt(PaperTasks, n-off)
+		sz := min(PaperTasks, n-off)
 		w := WorkloadSpec{
 			NumTasks:       sz,
 			NumObjects:     ScaleObjectsPerCluster,
@@ -251,7 +234,7 @@ type Profile struct {
 	Seeds       []int64
 
 	// Jobs bounds the worker pool the experiment sweeps fan out on
-	// (runner.Map); zero or negative means one worker per CPU. Every
+	// (runner.Grid); zero or negative means one worker per CPU. Every
 	// simulation run is a pure function of its sim.Config, and results
 	// are merged by index, so rendered tables are byte-identical for any
 	// Jobs value — see DESIGN.md "Parallel experiment engine".

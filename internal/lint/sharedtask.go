@@ -8,7 +8,7 @@ import (
 )
 
 // Sharedtask flags closures handed to the parallel engine
-// (runner.Map / runner.ForEach) that capture a *task.Task or
+// (runner.Map / runner.Grid) that capture a *task.Task or
 // []*task.Task without a Clone/CloneAll anywhere in the data flow.
 // Parallel sweep workers may only share task values read-only; a
 // captured live task that one run mutates (arrival state, segments)
@@ -21,7 +21,7 @@ import (
 // the closure body clones the value before using it.
 var Sharedtask = &analysis.Analyzer{
 	Name: "sharedtask",
-	Doc: "flags *task.Task / []*task.Task captured by closures passed to runner.Map/ForEach " +
+	Doc: "flags *task.Task / []*task.Task captured by closures passed to runner.Map/Grid " +
 		"without Clone/CloneAll in the data flow",
 	Run: runSharedtask,
 }
@@ -35,7 +35,7 @@ func runSharedtask(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			path, name, ok := calleePkgFunc(pass.TypesInfo, call)
-			if !ok || !pathHasSegments(path, "internal/runner") || (name != "Map" && name != "ForEach") {
+			if !ok || !pathHasSegments(path, "internal/runner") || (name != "Map" && name != "Grid") {
 				return true
 			}
 			var lit *ast.FuncLit

@@ -9,10 +9,29 @@ import (
 
 // BadSlice captures the live template slice with no clone anywhere:
 // flagged at the first use inside the closure.
-func BadSlice(tasks []*task.Task) error {
-	return runner.ForEach(0, 4, func(i int) error {
-		tasks[0].State = i // want `\[\]\*sharedtask/internal/task\.Task "tasks" captured by closure passed to runner\.ForEach without Clone/CloneAll`
-		return nil
+func BadSlice(tasks []*task.Task) ([]int, error) {
+	return runner.Map(0, 4, func(i int) (int, error) {
+		tasks[0].State = i // want `\[\]\*sharedtask/internal/task\.Task "tasks" captured by closure passed to runner\.Map without Clone/CloneAll`
+		return 0, nil
+	})
+}
+
+// BadGrid captures the live template slice in a sweep-grid closure with
+// no clone anywhere: flagged.
+func BadGrid(tasks []*task.Task) ([][][]int, error) {
+	return runner.Grid(0, 2, 2, 2, func(pt, v, rep int) (int, error) {
+		tasks[pt].State = v // want `\[\]\*sharedtask/internal/task\.Task "tasks" captured by closure passed to runner\.Grid without Clone/CloneAll`
+		return rep, nil
+	})
+}
+
+// GoodGridCloneInside clones the templates inside the sweep-grid
+// closure: every cell runs on its own copy, not flagged.
+func GoodGridCloneInside(templates [][]*task.Task) ([][][]int, error) {
+	return runner.Grid(0, len(templates), 2, 2, func(pt, v, rep int) (int, error) {
+		mine := task.CloneAll(templates[pt])
+		mine[0].State = v
+		return mine[0].ID + rep, nil
 	})
 }
 

@@ -15,12 +15,20 @@ func Map(jobs, n int, fn func(i int) (int, error)) ([]int, error) {
 	return out, nil
 }
 
-// ForEach mimics the result-free fan-out entry point.
-func ForEach(jobs, n int, fn func(i int) error) error {
-	for i := 0; i < n; i++ {
-		if err := fn(i); err != nil {
-			return err
+// Grid mimics the sweep-grid entry point.
+func Grid(jobs, points, variants, reps int, fn func(pt, v, rep int) (int, error)) ([][][]int, error) {
+	out := make([][][]int, points)
+	for pt := range out {
+		out[pt] = make([][]int, variants)
+		for v := range out[pt] {
+			for rep := 0; rep < reps; rep++ {
+				x, err := fn(pt, v, rep)
+				if err != nil {
+					return nil, err
+				}
+				out[pt][v] = append(out[pt][v], x)
+			}
 		}
 	}
-	return nil
+	return out, nil
 }

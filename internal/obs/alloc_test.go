@@ -1,8 +1,10 @@
 package obs_test
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/metrics/hist"
 	"repro/internal/obs"
 	"repro/internal/rtime"
 	"repro/internal/trace"
@@ -91,6 +93,25 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// warmPasses is how many replay passes of events bring a pipeline to
+// its steady state: besides the ring and the maps, every per-object ops
+// histogram must be past its bounded exact-quantile sample buffer
+// (hist.DefaultExactCap samples), after which recording a commit
+// allocates nothing.
+func warmPasses(events []trace.Event) int {
+	perObj := map[int]int{}
+	for _, e := range events {
+		if e.Object >= 0 && e.Task >= 0 && (e.Kind == trace.Commit || e.Kind == trace.LockRelease) {
+			perObj[e.Object]++
+		}
+	}
+	least := math.MaxInt
+	for _, n := range perObj {
+		least = min(least, n)
+	}
+	return hist.DefaultExactCap/least + 1
+}
+
 // BenchmarkPipelineObserve measures the per-event cost of the full
 // pipeline (span fold + series fold + ops fold + flight ring) in its
 // steady state. The interesting number is B/op: the streaming
@@ -98,7 +119,8 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 func BenchmarkPipelineObserve(b *testing.B) {
 	b.StopTimer()
 	events, span := recordReference(b)
-	passes := b.N/len(events) + 2
+	warm := warmPasses(events)
+	passes := warm + b.N/len(events) + 2
 	p, err := obs.NewPipeline(obs.Config{
 		Horizon:      span * rtime.Time(passes+2),
 		CPUs:         1,
@@ -108,12 +130,14 @@ func BenchmarkPipelineObserve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	replay(p, events, 0, span) // warm: fill the ring, size the maps
+	for pass := 0; pass < warm; pass++ {
+		replay(p, events, pass, span)
+	}
 	b.ReportAllocs()
 	b.StartTimer()
-	pass, i := 1, 0
-	atOff := span
-	seqOff := 1_000_000
+	pass, i := warm, 0
+	atOff := span * rtime.Time(pass)
+	seqOff := pass * 1_000_000
 	for n := 0; n < b.N; n++ {
 		e := events[i]
 		e.At += atOff

@@ -118,11 +118,28 @@ func Map[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEach is Map without results: fn(0..n-1) on up to jobs workers, with
-// the same deterministic first-error-in-index-order semantics.
-func ForEach(jobs, n int, fn func(i int) error) error {
-	_, err := Map(jobs, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
+// Grid runs fn over every (point × variant × rep) cell of a sweep on up
+// to jobs workers and returns the results as out[pt][v][rep]. It is Map
+// over the flattened grid, cell order point-major, then variant, then
+// rep (flat index (pt·variants + v)·reps + rep), so it inherits Map's
+// guarantees: the result is identical for any worker count, the error is
+// the one with the lowest flat index, and a panic surfaces as a
+// *PanicError whose Index is that flat index. A zero-size axis runs
+// nothing.
+func Grid[T any](jobs, points, variants, reps int, fn func(pt, v, rep int) (T, error)) ([][][]T, error) {
+	flat, err := Map(jobs, points*variants*reps, func(i int) (T, error) {
+		return fn(i/(variants*reps), i/reps%variants, i%reps)
 	})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]T, points)
+	for pt := range out {
+		out[pt] = make([][]T, variants)
+		for v := range out[pt] {
+			lo := (pt*variants + v) * reps
+			out[pt][v] = flat[lo : lo+reps : lo+reps]
+		}
+	}
+	return out, nil
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -144,31 +145,6 @@ func TestMapPanicContained(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	const n = 100
-	hits := make([]atomic.Int64, n)
-	if err := ForEach(4, n, func(i int) error {
-		hits[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("index %d ran %d times", i, hits[i].Load())
-		}
-	}
-	boom := errors.New("boom")
-	if err := ForEach(4, n, func(i int) error {
-		if i == 3 {
-			return boom
-		}
-		return nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // TestMapMoreJobsThanWork: worker count is clamped to n.
 func TestMapMoreJobsThanWork(t *testing.T) {
 	out, err := Map(64, 3, func(i int) (int, error) { return i + 1, nil })
@@ -177,5 +153,121 @@ func TestMapMoreJobsThanWork(t *testing.T) {
 	}
 	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
 		t.Fatalf("out = %v", out)
+	}
+}
+
+// gridCell records which cell a Grid work item was handed.
+type gridCell struct{ pt, v, rep int }
+
+// TestGridShape: cell (pt, v, rep) lands at out[pt][v][rep], and the
+// grid is identical for any worker count.
+func TestGridShape(t *testing.T) {
+	const points, variants, reps = 5, 3, 4
+	var want [][][]gridCell
+	for _, jobs := range []int{1, 8} {
+		out, err := Grid(jobs, points, variants, reps, func(pt, v, rep int) (gridCell, error) {
+			if rep%2 == 0 {
+				runtime.Gosched() // perturb interleavings
+			}
+			return gridCell{pt, v, rep}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != points {
+			t.Fatalf("jobs=%d: %d points", jobs, len(out))
+		}
+		for pt := range out {
+			if len(out[pt]) != variants {
+				t.Fatalf("jobs=%d: point %d has %d variants", jobs, pt, len(out[pt]))
+			}
+			for v := range out[pt] {
+				if len(out[pt][v]) != reps {
+					t.Fatalf("jobs=%d: cell (%d,%d) has %d reps", jobs, pt, v, len(out[pt][v]))
+				}
+				for rep, c := range out[pt][v] {
+					if c != (gridCell{pt, v, rep}) {
+						t.Fatalf("jobs=%d: out[%d][%d][%d] = %+v", jobs, pt, v, rep, c)
+					}
+				}
+			}
+		}
+		if want == nil {
+			want = out
+		} else if !reflect.DeepEqual(out, want) {
+			t.Fatalf("jobs=%d grid differs from jobs=1", jobs)
+		}
+	}
+}
+
+// TestGridFirstErrorWins: the reported error is the one with the lowest
+// flat index — point-major, then variant, then rep — whatever the worker
+// count.
+func TestGridFirstErrorWins(t *testing.T) {
+	for _, jobs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			_, err := Grid(jobs, 3, 3, 3, func(pt, v, rep int) (int, error) {
+				switch {
+				case pt == 2 && v == 0 && rep == 0:
+					return 0, errors.New("later point")
+				case pt == 1 && v == 2 && rep == 0:
+					return 0, errors.New("later variant")
+				case pt == 1 && v == 1 && rep == 2:
+					return 0, errors.New("lowest")
+				}
+				return 0, nil
+			})
+			if err == nil || err.Error() != "lowest" {
+				t.Fatalf("err = %v, want the (1,1,2) error", err)
+			}
+		})
+	}
+}
+
+func TestGridPanicContained(t *testing.T) {
+	for _, jobs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			_, err := Grid(jobs, 2, 3, 4, func(pt, v, rep int) (int, error) {
+				if pt == 1 && v == 2 && rep == 1 {
+					panic("kaboom")
+				}
+				return 0, nil
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error %v (%T) is not a PanicError", err, err)
+			}
+			if want := (1*3+2)*4 + 1; pe.Index != want || pe.Value != "kaboom" {
+				t.Fatalf("panic error = index %d value %v, want index %d", pe.Index, pe.Value, want)
+			}
+		})
+	}
+}
+
+// TestGridZeroAxis: a zero-size axis runs nothing and still returns the
+// outer axes' shape.
+func TestGridZeroAxis(t *testing.T) {
+	for _, dims := range [][3]int{{0, 2, 2}, {2, 0, 2}, {2, 2, 0}, {0, 0, 0}} {
+		called := false
+		out, err := Grid(4, dims[0], dims[1], dims[2], func(pt, v, rep int) (int, error) {
+			called = true
+			return 0, nil
+		})
+		if err != nil || called {
+			t.Fatalf("dims %v: err=%v called=%v", dims, err, called)
+		}
+		if len(out) != dims[0] {
+			t.Fatalf("dims %v: %d points", dims, len(out))
+		}
+		for _, vs := range out {
+			if len(vs) != dims[1] {
+				t.Fatalf("dims %v: %d variants", dims, len(vs))
+			}
+			for _, reps := range vs {
+				if len(reps) != 0 {
+					t.Fatalf("dims %v: %d reps", dims, len(reps))
+				}
+			}
+		}
 	}
 }
