@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race race-all stress vet lint bench trace-demo \
-	check-bounds report metrics bench-baseline bench-diff profile \
+	check-bounds report metrics bench-baseline bench-diff profile profile-layers \
 	fuzz-smoke scale-smoke stoch-smoke obs-smoke serve-smoke full-golden
 
 all: build vet lint test
@@ -180,6 +180,24 @@ serve-smoke:
 	cmp serve-smoke-out/served/trace.perfetto.json.flight.json serve-smoke-out/batch/trace.perfetto.json.flight.json
 	cmp serve-smoke-out/served/trace.summary.txt serve-smoke-out/batch/trace.summary.txt
 	@echo "serve smoke OK: served bytes byte-identical to batch, cache counters exact"
+
+# Layer budget of one n=10⁴ uniprocessor run: CPU-profile
+# BenchmarkScaleEngineRun/n=10000 and print, per layer, the share of all
+# samples whose stack passes through it (pprof -top -focus). Layers nest
+# (sim.New calls into uam, task and tuf), so shares add up to more than
+# 100%. The test binary and profile stay in the gitignored
+# .profile-layers/; inspect them with
+# `go tool pprof .profile-layers/repro.test .profile-layers/cpu.pprof`.
+PROFILE_LAYERS = experiment task tuf uam sim rtime/wheel rua resource
+profile-layers:
+	@mkdir -p .profile-layers
+	$(GO) test -run NONE -bench '^BenchmarkScaleEngineRun$$/^n=10000$$' -benchtime 20x \
+	  -o .profile-layers/repro.test -cpuprofile cpu.pprof -outputdir .profile-layers . > /dev/null
+	@share() { $(GO) tool pprof -top -nodefraction=0 -focus="$$1" .profile-layers/repro.test \
+	  .profile-layers/cpu.pprof 2>/dev/null | awk '/^Showing nodes accounting for/ { sub(",", "", $$6); print $$6 }'; }; \
+	printf '| layer | cumulative share |\n|---|---|\n'; \
+	for l in $(PROFILE_LAYERS); do printf '| `%s` | %s |\n' "$$l" "$$(share "^repro/internal/$$l\.")"; done; \
+	printf '| runtime GC/malloc | %s |\n' "$$(share '^runtime\.(mallocgc|gcBgMarkWorker|gcAssistAlloc|bgsweep|bgscavenge)$$')"
 
 # CPU + heap profiles of the canonical metrics fold; inspect with
 # `go tool pprof cpu.pprof`.

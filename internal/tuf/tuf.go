@@ -292,7 +292,41 @@ func NonIncreasing(f TUF) bool {
 // (paper §2): zero utility at and after the critical time, zero utility
 // for negative completion times, non-negative utility everywhere, and a
 // positive maximum.
+//
+// Step, Linear and Parabolic values are judged in closed form: their
+// Utility is zero outside [0, C) by construction and lies in [0, U]
+// inside it, so they satisfy the invariants exactly when C > 0 and U is
+// positive and finite — the verdict the sampled scan reaches, without
+// its 1,024 Utility calls. Every other TUF (PiecewiseLinear, shapes
+// defined outside this package) gets the sampled scan.
 func Validate(f TUF) error {
+	switch s := f.(type) {
+	case Step:
+		return validateUC(s.U, s.C)
+	case Linear:
+		return validateUC(s.U, s.C)
+	case Parabolic:
+		return validateUC(s.U, s.C)
+	}
+	return validateSampled(f)
+}
+
+// validateUC is Validate's closed-form verdict for the height-u,
+// critical-time-c shapes of this package.
+func validateUC(u float64, c rtime.Duration) error {
+	if c <= 0 {
+		return fmt.Errorf("%w: critical time %v must be positive", ErrInvalid, c)
+	}
+	if !(u > 0) || math.IsInf(u, 0) {
+		return fmt.Errorf("%w: max utility %v must be positive and finite", ErrInvalid, u)
+	}
+	return nil
+}
+
+// validateSampled checks the invariants by probing f at the critical
+// time, just past it, just before release, and at 1,024 points across
+// [0, C).
+func validateSampled(f TUF) error {
 	c := f.CriticalTime()
 	if c <= 0 {
 		return fmt.Errorf("%w: critical time %v must be positive", ErrInvalid, c)

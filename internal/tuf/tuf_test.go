@@ -176,6 +176,27 @@ func TestValidateCatchesViolation(t *testing.T) {
 	}
 }
 
+// TestValidateClosedFormMatchesScan holds Validate's closed-form verdict
+// for Step, Linear and Parabolic to the sampled scan's, over heights and
+// critical times the constructors would reject as well as accept.
+func TestValidateClosedFormMatchesScan(t *testing.T) {
+	us := []float64{1, 1e-300, 1e308, 0, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	cs := []rtime.Duration{-1, 0, 1, 3, 1 << 40}
+	for _, u := range us {
+		for _, c := range cs {
+			for _, f := range []TUF{Step{U: u, C: c}, Linear{U: u, C: c}, Parabolic{U: u, C: c}} {
+				closed, scan := Validate(f), validateSampled(f)
+				if (closed == nil) != (scan == nil) {
+					t.Errorf("%s u=%v c=%v: closed form %v, sampled scan %v", f.Shape(), u, c, closed, scan)
+				}
+				if closed != nil && !errors.Is(closed, ErrInvalid) {
+					t.Errorf("%s u=%v c=%v: error %v does not wrap ErrInvalid", f.Shape(), u, c, closed)
+				}
+			}
+		}
+	}
+}
+
 // Property: for every shape, utility is 0 outside [0, C) and within
 // [0, MaxUtility] inside.
 func TestQuickUtilityRange(t *testing.T) {

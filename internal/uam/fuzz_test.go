@@ -1,6 +1,7 @@
 package uam
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rtime"
@@ -8,14 +9,19 @@ import (
 
 // FuzzGenerateSatisfiesSpec drives the trace generators with fuzzed UAM
 // parameters and checks every output against the exact sliding-window
-// validator. Run the seeds with `go test`; explore with
+// validator, and against the trace of the same generator on math/rand's
+// own source (the lazily seeded stream must not move a single arrival).
+// The horizon spans 15 + windowsRaw%500 windows; the last seed needs over
+// 607 draws, so its stream runs through both lags of the source. Run the
+// seeds with `go test`; explore with
 // `go test -fuzz=FuzzGenerateSatisfiesSpec ./internal/uam`.
 func FuzzGenerateSatisfiesSpec(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(0), uint16(100), uint8(0))
-	f.Add(int64(7), uint8(3), uint8(2), uint16(500), uint8(1))
-	f.Add(int64(-5), uint8(5), uint8(5), uint16(50), uint8(2))
-	f.Add(int64(42), uint8(2), uint8(1), uint16(1000), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, aRaw, lRaw uint8, wRaw uint16, kindRaw uint8) {
+	f.Add(int64(1), uint8(1), uint8(0), uint16(100), uint8(0), uint16(0))
+	f.Add(int64(7), uint8(3), uint8(2), uint16(500), uint8(1), uint16(0))
+	f.Add(int64(-5), uint8(5), uint8(5), uint16(50), uint8(2), uint16(0))
+	f.Add(int64(42), uint8(2), uint8(1), uint16(1000), uint8(0), uint16(0))
+	f.Add(int64(1_000_003), uint8(5), uint8(5), uint16(200), uint8(0), uint16(185))
+	f.Fuzz(func(t *testing.T, seed int64, aRaw, lRaw uint8, wRaw uint16, kindRaw uint8, windowsRaw uint16) {
 		a := int(aRaw%6) + 1
 		l := int(lRaw) % (a + 1)
 		w := rtime.Duration(wRaw%2000) + 10
@@ -24,10 +30,14 @@ func FuzzGenerateSatisfiesSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid spec rejected: %v", err)
 		}
-		horizon := rtime.Time(15 * w)
-		tr := g.Generate(Kind(kindRaw%3), horizon)
+		kind := Kind(kindRaw % 3)
+		horizon := rtime.Time((15 + rtime.Duration(windowsRaw%500)) * w)
+		tr := g.Generate(kind, horizon)
 		if err := CheckTrace(spec, tr, horizon); err != nil {
-			t.Fatalf("spec %v kind %d: %v", spec, kindRaw%3, err)
+			t.Fatalf("spec %v kind %d: %v", spec, kind, err)
+		}
+		if want := oracleGenerator(spec, seed).Generate(kind, horizon); !slices.Equal(tr, want) {
+			t.Fatalf("spec %v kind %d seed %d: trace differs from the math/rand-backed generator", spec, kind, seed)
 		}
 		if got := int64(len(tr)); got > spec.MaxArrivalsIn(rtime.Duration(horizon)) {
 			t.Fatalf("trace length %d exceeds analytic max %d", got, spec.MaxArrivalsIn(rtime.Duration(horizon)))

@@ -201,7 +201,7 @@ func NewGenerator(s Spec, seed int64) (*Generator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{Spec: s, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Generator{Spec: s, rng: rand.New(newLazySource(seed))}, nil
 }
 
 // prune drops recent arrivals older than t-W+1 (outside any window that
@@ -358,33 +358,4 @@ func (g *Generator) generateJittered(horizon rtime.Time) Trace {
 		tr = append(tr, g.emit(at))
 		t = at
 	}
-}
-
-// Merge combines per-task traces into a single time-ordered stream of
-// (time, task index) arrival records.
-type Arrival struct {
-	At   rtime.Time
-	Task int
-}
-
-// Merge interleaves the given traces by time, breaking ties by task index
-// (jobs may arrive simultaneously under UAM).
-func Merge(traces []Trace) []Arrival {
-	total := 0
-	for _, tr := range traces {
-		total += len(tr)
-	}
-	out := make([]Arrival, 0, total)
-	for i, tr := range traces {
-		for _, t := range tr {
-			out = append(out, Arrival{At: t, Task: i})
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].At != out[b].At {
-			return out[a].At < out[b].At
-		}
-		return out[a].Task < out[b].Task
-	})
-	return out
 }

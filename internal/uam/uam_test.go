@@ -241,30 +241,6 @@ func TestNewGeneratorRejectsBadSpec(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := Trace{10, 30}
-	b := Trace{10, 20}
-	m := Merge([]Trace{a, b})
-	want := []Arrival{{10, 0}, {10, 1}, {20, 1}, {30, 0}}
-	if len(m) != len(want) {
-		t.Fatalf("Merge len = %d, want %d", len(m), len(want))
-	}
-	for i := range want {
-		if m[i] != want[i] {
-			t.Errorf("Merge[%d] = %v, want %v", i, m[i], want[i])
-		}
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	if got := Merge(nil); len(got) != 0 {
-		t.Fatalf("Merge(nil) = %v", got)
-	}
-	if got := Merge([]Trace{{}, {}}); len(got) != 0 {
-		t.Fatalf("Merge(empty) = %v", got)
-	}
-}
-
 // Property: every generated trace passes CheckTrace and its count over
 // the horizon respects the analytic window bounds.
 func TestQuickGeneratedTracesValid(t *testing.T) {
