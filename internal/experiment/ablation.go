@@ -5,10 +5,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/rtime"
-	"repro/internal/rua"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/task"
 	"repro/internal/uam"
 )
 
@@ -39,22 +36,17 @@ func AblationRetry(p Profile) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	horizon := horizonFor(template, p)
+	points := editPoints(template, rows, func(cfg *sim.Config, rw row) {
+		cfg.ArrivalKind, cfg.ConservativeRetry = uam.KindBursty, rw.conserv
+	})
 	type cell struct {
 		retries, jobs int64
 		aur, cmr      float64
 	}
-	cells, err := runner.Grid(p.Jobs, len(rows), 1, len(p.Seeds), func(ri, _, rep int) (cell, error) {
-		cfg := baseConfig(task.CloneAll(template), horizon, p.Seeds[rep])
-		cfg.Scheduler, cfg.Mode = rua.NewLockFree(), sim.LockFree
-		cfg.ArrivalKind, cfg.ConservativeRetry = uam.KindBursty, rows[ri].conserv
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return cell{}, err
-		}
+	cells, err := runSweep(p, points, []variant{lockFreeRUA}, simCell(func(res sim.Result) cell {
 		st := metrics.Analyze(res)
-		return cell{retries: res.Retries, jobs: res.Arrivals, aur: st.AUR, cmr: st.CMR}, nil
-	})
+		return cell{retries: res.Retries, jobs: res.Arrivals, aur: st.AUR, cmr: st.CMR}
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -100,19 +92,19 @@ func AblationOpCost(p Profile) ([]*Table, error) {
 		MeanExec: 300 * rtime.Microsecond, TargetAL: 0.9,
 		Class: StepTUFs, MaxArrivals: 2,
 	}
-	points := make([]sweepPoint, len(opCosts))
-	for oi, opCost := range opCosts {
-		points[oi] = defaultPoint(w)
-		points[oi].opCost = opCost
+	template, err := w.Build()
+	if err != nil {
+		return nil, err
 	}
+	points := editPoints(template, opCosts, func(cfg *sim.Config, opCost float64) { cfg.OpCost = opCost })
 	type cell struct {
 		aur, cmr float64
 		overhead rtime.Duration
 	}
-	cells, err := runSweep(p, points, []variant{lockFreeRUA}, func(res sim.Result) cell {
+	cells, err := runSweep(p, points, []variant{lockFreeRUA}, simCell(func(res sim.Result) cell {
 		st := metrics.Analyze(res)
 		return cell{aur: st.AUR, cmr: st.CMR, overhead: res.Overhead}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -28,19 +28,21 @@ func Baselines(p Profile) ([]*Table, error) {
 	}
 	variants := []variant{
 		lockFreeRUA,
-		{func() sched.Scheduler { return sched.LBESA{} }, sim.LockFree},
-		{func() sched.Scheduler { return sched.EDF{} }, sim.LockFree},
-		{func() sched.Scheduler { return sched.LLF{} }, sim.LockFree},
+		func(cfg *sim.Config) { cfg.Scheduler, cfg.Mode = sched.LBESA{}, sim.LockFree },
+		func(cfg *sim.Config) { cfg.Scheduler, cfg.Mode = sched.EDF{}, sim.LockFree },
+		func(cfg *sim.Config) { cfg.Scheduler, cfg.Mode = sched.LLF{}, sim.LockFree },
 	}
-	points := make([]sweepPoint, len(loads))
-	for li, al := range loads {
-		points[li] = defaultPoint(WorkloadSpec{
+	points, err := specPoints(loads, func(al float64) WorkloadSpec {
+		return WorkloadSpec{
 			NumTasks: PaperTasks, NumObjects: 4, AccessesPerJob: 4,
 			MeanExec: 500 * rtime.Microsecond, TargetAL: al,
 			Class: HeterogeneousTUFs, MaxArrivals: 2,
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	aurs, err := runSweep(p, points, variants, aur)
+	aurs, err := runSweep(p, points, variants, simCell(aur))
 	if err != nil {
 		return nil, err
 	}

@@ -34,8 +34,8 @@ const (
 // baseConfig is the calibrated uniprocessor run every experiment starts
 // from: the default access costs and scheduler op cost, jittered UAM
 // arrivals, and conservative retry accounting (the adversary Theorem 2
-// bounds). Callers set the scheduler and mode and override only the
-// fields their sweep varies.
+// bounds). Sweeps set the scheduler and mode and override only the
+// fields they vary, as point and variant edits (runSweep).
 func baseConfig(tasks []*task.Task, horizon rtime.Time, seed int64) sim.Config {
 	return sim.Config{
 		Tasks: tasks, R: DefaultR, S: DefaultS, OpCost: DefaultOpCost,
@@ -44,65 +44,98 @@ func baseConfig(tasks []*task.Task, horizon rtime.Time, seed int64) sim.Config {
 	}
 }
 
-// sweepPoint is one point of a uniprocessor sweep: its workload and
-// cost calibration.
+// sweepPoint is one point of a sweep: the task template every run of
+// the point clones, and an optional edit of each run's config (fault
+// intensity, stochastic plan, arrival kind, retry accounting, costs).
 type sweepPoint struct {
-	w      WorkloadSpec
-	r, s   rtime.Duration
-	opCost float64
+	tasks []*task.Task
+	edit  func(*sim.Config)
 }
 
-// defaultPoint is the sweep point of w under the default calibration.
-func defaultPoint(w WorkloadSpec) sweepPoint {
-	return sweepPoint{w: w, r: DefaultR, s: DefaultS, opCost: DefaultOpCost}
+// specPoints builds the unedited sweep point of spec(x) for each x.
+func specPoints[X any](xs []X, spec func(X) WorkloadSpec) ([]sweepPoint, error) {
+	points := make([]sweepPoint, len(xs))
+	for i, x := range xs {
+		tasks, err := spec(x).Build()
+		if err != nil {
+			return nil, err
+		}
+		points[i].tasks = tasks
+	}
+	return points, nil
 }
 
-// variant is one scheduler × synchronization-mode column of a sweep.
-type variant struct {
-	sched func() sched.Scheduler
-	mode  sim.Mode
+// editPoints is one sweep point per x, all over the same template, each
+// edited by edit(cfg, x).
+func editPoints[X any](tasks []*task.Task, xs []X, edit func(*sim.Config, X)) []sweepPoint {
+	points := make([]sweepPoint, len(xs))
+	for i, x := range xs {
+		points[i] = sweepPoint{tasks: tasks, edit: func(cfg *sim.Config) { edit(cfg, x) }}
+	}
+	return points
 }
+
+// variant is one column of a sweep: an edit of each run's config,
+// typically its scheduler and synchronization mode.
+type variant func(*sim.Config)
 
 // The paper's two RUA variants; pairModes is the lock-based vs
 // lock-free pair most of its figures contrast, in that order.
 var (
-	lockBasedRUA = variant{func() sched.Scheduler { return rua.NewLockBased() }, sim.LockBased}
-	lockFreeRUA  = variant{func() sched.Scheduler { return rua.NewLockFree() }, sim.LockFree}
-	pairModes    = []variant{lockBasedRUA, lockFreeRUA}
+	lockBasedRUA variant = func(cfg *sim.Config) { cfg.Scheduler, cfg.Mode = rua.NewLockBased(), sim.LockBased }
+	lockFreeRUA  variant = func(cfg *sim.Config) { cfg.Scheduler, cfg.Mode = rua.NewLockFree(), sim.LockFree }
+	pairModes            = []variant{lockBasedRUA, lockFreeRUA}
 )
 
-// runSweep executes every (point × variant × seed) uniprocessor
-// simulation of a sweep on the profile's worker pool and returns measure
-// of each run as out[point][variant][seed].
+// runSweep executes every (point × variant × seed) cell of a sweep on
+// the profile's worker pool and returns each cell's result as
+// out[point][variant][seed]. A cell's config is baseConfig over a clone
+// of the point's template, with the profile's horizon and the seed of
+// its grid slot, edited by the point and then by the variant; cell runs
+// it (on any engine, under any observer) and measures it.
 //
-// Determinism: each workload is built once, sequentially, as a
-// template; every run clones it (tasks are read-only during a run, but
-// clones make sharing bugs structurally impossible) and takes its seed
-// from its own grid cell, never from shared RNG state. runner.Grid
-// merges by index, so every rendered table is byte-identical for any
-// worker count.
-func runSweep[T any](p Profile, points []sweepPoint, variants []variant, measure func(sim.Result) T) ([][][]T, error) {
-	templates := make([][]*task.Task, len(points))
-	horizons := make([]rtime.Time, len(points))
-	for i, pt := range points {
-		tasks, err := pt.w.Build()
-		if err != nil {
-			return nil, err
-		}
-		templates[i], horizons[i] = tasks, horizonFor(tasks, p)
-	}
+// Determinism: every run clones its template (so an edit may rewrite
+// the clone freely, and sharing bugs are structurally impossible) and
+// takes its seed from its own grid cell, never from shared RNG state.
+// runner.Grid merges by index, so every rendered table is
+// byte-identical for any worker count.
+func runSweep[T any](p Profile, points []sweepPoint, variants []variant, cell func(cfg sim.Config, pi, vi int) (T, error)) ([][][]T, error) {
 	return runner.Grid(p.Jobs, len(points), len(variants), len(p.Seeds), func(pi, vi, rep int) (T, error) {
-		pt, v := points[pi], variants[vi]
-		cfg := baseConfig(task.CloneAll(templates[pi]), horizons[pi], p.Seeds[rep])
-		cfg.Scheduler, cfg.Mode = v.sched(), v.mode
-		cfg.R, cfg.S, cfg.OpCost = pt.r, pt.s, pt.opCost
+		pt := points[pi]
+		cfg := baseConfig(task.CloneAll(pt.tasks), horizonFor(pt.tasks, p), p.Seeds[rep])
+		if pt.edit != nil {
+			pt.edit(&cfg)
+		}
+		variants[vi](&cfg)
+		return cell(cfg, pi, vi)
+	})
+}
+
+// simCell is the sweep cell that runs its config on the uniprocessor
+// engine and measures the result.
+func simCell[T any](measure func(sim.Result) T) func(sim.Config, int, int) (T, error) {
+	return func(cfg sim.Config, _, _ int) (T, error) {
 		res, err := sim.Run(cfg)
 		if err != nil {
 			var zero T
 			return zero, err
 		}
 		return measure(res), nil
-	})
+	}
+}
+
+// lockFree runs in lock-free mode and leaves the scheduler to the
+// engine (runEngine).
+var lockFree variant = func(cfg *sim.Config) { cfg.Mode = sim.LockFree }
+
+// engineCell is the sweep cell that runs its config on engine over cpus
+// processors (see runEngine) and digests the run.
+func engineCell(engine string, cpus int, cfg sim.Config) (metrics.RunStats, error) {
+	stats, err := runEngine(engine, cpus, cfg, false)
+	if err != nil {
+		return metrics.RunStats{}, err
+	}
+	return stats(), nil
 }
 
 // aur is the accrued-utility-ratio measure of a run.
@@ -150,13 +183,15 @@ func Fig8(p Profile) ([]*Table, error) {
 		Columns: []string{"objects", "r_eff_us", "s_eff_us", "r/s"},
 	}
 	objSweep := sweepInts(p, 1, 10)
-	points := make([]sweepPoint, len(objSweep))
-	for pi, objs := range objSweep {
-		points[pi] = defaultPoint(WorkloadSpec{
+	points, err := specPoints(objSweep, func(objs int) WorkloadSpec {
+		return WorkloadSpec{
 			NumTasks: PaperTasks, NumObjects: objs, AccessesPerJob: objs,
 			MeanExec: 500 * rtime.Microsecond, TargetAL: 0.4,
 			Class: StepTUFs, MaxArrivals: 1,
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	// eff is a run's measured effective access time, ok whether the run
 	// observed any accesses.
@@ -164,12 +199,12 @@ func Fig8(p Profile) ([]*Table, error) {
 		v  float64
 		ok bool
 	}
-	cells, err := runSweep(p, points, pairModes, func(res sim.Result) eff {
+	cells, err := runSweep(p, points, pairModes, simCell(func(res sim.Result) eff {
 		if res.Accesses == 0 {
 			return eff{}
 		}
 		return eff{v: float64(res.AccessTime) / float64(res.Accesses), ok: true}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -210,18 +245,14 @@ func Fig9(p Profile) ([]*Table, error) {
 	loads := loadGrid(p)
 	// The variants are ideal RUA (near-zero access cost), lock-free and
 	// lock-based RUA.
-	variants := []struct {
-		variant
-		s rtime.Duration
-	}{
-		{lockFreeRUA, 1},
-		{lockFreeRUA, DefaultS},
-		{lockBasedRUA, DefaultS},
+	variants := []variant{
+		func(cfg *sim.Config) { lockFreeRUA(cfg); cfg.S = 1 },
+		lockFreeRUA,
+		lockBasedRUA,
 	}
 	// Each (execution-time × variant) cell is an independent CML grid
 	// search.
 	cmls, err := runner.Grid(p.Jobs, len(execs), len(variants), 1, func(ei, vi, _ int) (float64, error) {
-		v := variants[vi]
 		cml, _, err := metrics.FindCML(metrics.CMLConfig{
 			Loads:         loads,
 			MissTolerance: 0.001,
@@ -231,7 +262,7 @@ func Fig9(p Profile) ([]*Table, error) {
 					MeanExec: execs[ei], TargetAL: al, Class: StepTUFs, MaxArrivals: 1,
 				}.Build()
 				cfg := baseConfig(tasks, horizonFor(tasks, p), p.Seeds[0])
-				cfg.Scheduler, cfg.Mode, cfg.S = v.sched(), v.mode, v.s
+				variants[vi](&cfg)
 				return cfg, err
 			},
 		})
@@ -258,15 +289,17 @@ func AURCMR(p Profile, id string, class TUFClass, al float64) ([]*Table, error) 
 		Columns: []string{"objects", "AUR_lockbased", "AUR_lockfree", "CMR_lockbased", "CMR_lockfree"},
 	}
 	objSweep := sweepInts(p, 1, 10)
-	points := make([]sweepPoint, len(objSweep))
-	for pi, objs := range objSweep {
-		points[pi] = defaultPoint(WorkloadSpec{
+	points, err := specPoints(objSweep, func(objs int) WorkloadSpec {
+		return WorkloadSpec{
 			NumTasks: PaperTasks, NumObjects: objs, AccessesPerJob: objs,
 			MeanExec: 500 * rtime.Microsecond, TargetAL: al,
 			Class: class, MaxArrivals: 2,
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	cells, err := runSweep(p, points, pairModes, metrics.Analyze)
+	cells, err := runSweep(p, points, pairModes, simCell(metrics.Analyze))
 	if err != nil {
 		return nil, err
 	}
@@ -301,15 +334,17 @@ func Fig14(p Profile) ([]*Table, error) {
 	if p.Name == Quick.Name {
 		loads = []float64{0.3, 0.9}
 	}
-	points := make([]sweepPoint, len(loads))
-	for pi, al := range loads {
-		points[pi] = defaultPoint(WorkloadSpec{
+	points, err := specPoints(loads, func(al float64) WorkloadSpec {
+		return WorkloadSpec{
 			NumTasks: PaperTasks, NumObjects: 5, AccessesPerJob: 4,
 			MeanExec: 500 * rtime.Microsecond, TargetAL: al,
 			Class: HeterogeneousTUFs, MaxArrivals: 2,
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	cells, err := runSweep(p, points, pairModes, metrics.Analyze)
+	cells, err := runSweep(p, points, pairModes, simCell(metrics.Analyze))
 	if err != nil {
 		return nil, err
 	}
@@ -338,12 +373,10 @@ func Thm2(p Profile) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	horizon := horizonFor(tasks, p)
+	bursty := sweepPoint{tasks: tasks, edit: func(cfg *sim.Config) { cfg.ArrivalKind = uam.KindBursty }}
 	// Per-seed runs are independent; fan out and fold the per-task retry
 	// maxima afterwards (max is commutative, so the merge is order-free).
-	perSeed, err := runner.Grid(p.Jobs, 1, 1, len(p.Seeds), func(_, _, rep int) ([]int64, error) {
-		cfg := baseConfig(task.CloneAll(tasks), horizon, p.Seeds[rep])
-		cfg.Scheduler, cfg.Mode, cfg.ArrivalKind = rua.NewLockFree(), sim.LockFree, uam.KindBursty
+	perSeed, err := runSweep(p, []sweepPoint{bursty}, []variant{lockFreeRUA}, func(cfg sim.Config, _, _ int) ([]int64, error) {
 		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, err
@@ -406,17 +439,16 @@ func Thm3(p Profile) ([]*Table, error) {
 		MeanExec: 400 * rtime.Microsecond, TargetAL: 0.5,
 		Class: StepTUFs, MaxArrivals: 1,
 	}
-	points := make([]sweepPoint, len(ratios))
-	svals := make([]rtime.Duration, len(ratios))
-	for pi, ratio := range ratios {
-		svals[pi] = rtime.Duration(math.Max(1, math.Round(float64(r)*ratio)))
-		points[pi] = sweepPoint{w: w, r: r, s: svals[pi], opCost: DefaultOpCost}
-	}
-	cells, err := runSweep(p, points, pairModes, metrics.Analyze)
+	tasks, err := w.Build()
 	if err != nil {
 		return nil, err
 	}
-	tasks, err := w.Build()
+	svals := make([]rtime.Duration, len(ratios))
+	for pi, ratio := range ratios {
+		svals[pi] = rtime.Duration(math.Max(1, math.Round(float64(r)*ratio)))
+	}
+	points := editPoints(tasks, svals, func(cfg *sim.Config, s rtime.Duration) { cfg.R, cfg.S = r, s })
+	cells, err := runSweep(p, points, pairModes, simCell(metrics.Analyze))
 	if err != nil {
 		return nil, err
 	}
@@ -552,9 +584,8 @@ func AURBoundsExp(p Profile) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt := defaultPoint(w)
-	pt.opCost = 0
-	cells, err := runSweep(p, []sweepPoint{pt}, pairModes, metrics.Analyze)
+	pt := sweepPoint{tasks: tasks, edit: func(cfg *sim.Config) { cfg.OpCost = 0 }}
+	cells, err := runSweep(p, []sweepPoint{pt}, pairModes, simCell(metrics.Analyze))
 	if err != nil {
 		return nil, err
 	}

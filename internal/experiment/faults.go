@@ -7,9 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rtime"
 	"repro/internal/rua"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/task"
 )
 
 // FaultSweep sweeps the heavy fault plan's intensity from 0 (fault-free)
@@ -23,7 +21,7 @@ import (
 //
 // Determinism: the plan seed is fixed and injection decisions are pure
 // hashes of (seed, task, indices), so every cell is a pure function of
-// its grid slot; cells fan out on runner.Grid and merge by index, making
+// its grid slot; cells fan out on runSweep and merge by index, making
 // the rendered table byte-identical for any Jobs value.
 func FaultSweep(p Profile) ([]*Table, error) {
 	t := &Table{
@@ -47,10 +45,10 @@ func FaultSweep(p Profile) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	horizon := horizonFor(template, p)
-
 	base := fault.Heavy()
 	base.Seed = 1
+	points := editPoints(template, intensities, func(cfg *sim.Config, x float64) { cfg.Fault = base.Scale(x) })
+	shed := func(cfg *sim.Config) { cfg.Scheduler, cfg.Mode = rua.NewLockFree().WithDegradation(), sim.LockFree }
 
 	// Grid: intensity × {plain, shed} × seed.
 	type cell struct {
@@ -60,25 +58,15 @@ func FaultSweep(p Profile) ([]*Table, error) {
 		stalls     int64
 		sheds      int64
 	}
-	cells, err := runner.Grid(p.Jobs, len(intensities), 2, len(p.Seeds), func(ii, shed, rep int) (cell, error) {
-		cfg := baseConfig(task.CloneAll(template), horizon, p.Seeds[rep])
-		s := rua.NewLockFree()
-		if shed == 1 {
-			s = s.WithDegradation()
-		}
-		cfg.Scheduler, cfg.Mode, cfg.Fault = s, sim.LockFree, base.Scale(intensities[ii])
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return cell{}, err
-		}
+	cells, err := runSweep(p, points, []variant{lockFreeRUA, shed}, simCell(func(res sim.Result) cell {
 		return cell{
 			stats:      metrics.Analyze(res),
 			injRetries: res.FaultRetries,
 			overruns:   res.FaultOverruns,
 			stalls:     res.FaultStalls,
 			sheds:      res.SchedAborts,
-		}, nil
-	})
+		}
+	}))
 	if err != nil {
 		return nil, err
 	}

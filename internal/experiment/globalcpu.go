@@ -2,9 +2,7 @@ package experiment
 
 import (
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/task"
 )
 
 // GlobalCPU contrasts the two §7 multiprocessor disciplines on the same
@@ -24,19 +22,14 @@ func GlobalCPU(p Profile) ([]*Table, error) {
 		Columns: []string{"cpus", "AUR_global", "AUR_partitioned", "retries_global", "retries_partitioned"},
 	}
 	cpuCounts := multiCPUCounts(p)
-	template, horizon, err := multiWorkload(p)
+	template, err := multiWorkload()
 	if err != nil {
 		return nil, err
 	}
+	points := editPoints(template, cpuCounts, func(cfg *sim.Config, _ int) { cfg.OpCost, cfg.ConservativeRetry = 0, false })
 	engines := []string{TraceSimGlobal, TraceSimMulti}
-	cells, err := runner.Grid(p.Jobs, len(cpuCounts), len(engines), len(p.Seeds), func(ci, ei, rep int) (metrics.RunStats, error) {
-		cfg := baseConfig(task.CloneAll(template), horizon, p.Seeds[rep])
-		cfg.Mode, cfg.OpCost, cfg.ConservativeRetry = sim.LockFree, 0, false
-		stats, err := runEngine(engines[ei], cpuCounts[ci], cfg, false)
-		if err != nil {
-			return metrics.RunStats{}, err
-		}
-		return stats(), nil
+	cells, err := runSweep(p, points, []variant{lockFree, lockFree}, func(cfg sim.Config, ci, ei int) (metrics.RunStats, error) {
+		return engineCell(engines[ei], cpuCounts[ci], cfg)
 	})
 	if err != nil {
 		return nil, err

@@ -23,8 +23,8 @@ func LockDisciplines(p Profile) ([]*Table, error) {
 		Columns: []string{"AL", "AUR_edf_locks", "AUR_pip_locks", "AUR_rua_locks", "AUR_rua_lockfree"},
 	}
 	variants := []variant{
-		{func() sched.Scheduler { return sched.EDF{} }, sim.LockBased},
-		{func() sched.Scheduler { return sched.PIP{} }, sim.LockBased},
+		func(cfg *sim.Config) { cfg.Scheduler, cfg.Mode = sched.EDF{}, sim.LockBased },
+		func(cfg *sim.Config) { cfg.Scheduler, cfg.Mode = sched.PIP{}, sim.LockBased },
 		lockBasedRUA,
 		lockFreeRUA,
 	}
@@ -32,15 +32,17 @@ func LockDisciplines(p Profile) ([]*Table, error) {
 	if p.Name == Quick.Name {
 		loads = []float64{0.6}
 	}
-	points := make([]sweepPoint, len(loads))
-	for li, al := range loads {
-		points[li] = defaultPoint(WorkloadSpec{
+	points, err := specPoints(loads, func(al float64) WorkloadSpec {
+		return WorkloadSpec{
 			NumTasks: PaperTasks, NumObjects: 2, AccessesPerJob: 6,
 			MeanExec: 500 * rtime.Microsecond, TargetAL: al,
 			Class: StepTUFs, MaxArrivals: 2,
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	aurs, err := runSweep(p, points, variants, aur)
+	aurs, err := runSweep(p, points, variants, simCell(aur))
 	if err != nil {
 		return nil, err
 	}

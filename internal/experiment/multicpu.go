@@ -3,7 +3,6 @@ package experiment
 import (
 	"repro/internal/metrics"
 	"repro/internal/rtime"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -18,13 +17,12 @@ func multiCPUCounts(p Profile) []int {
 }
 
 // multiWorkload builds the multiprocessor sweeps' template, MultiTasks
-// tasks at total load ≈ 2.2, and its horizon under p. Sharing is
-// re-clustered into pairs (task 2k and 2k+1 share private object k):
-// the default workload's object ring would fuse all tasks into ONE
-// component, which the object-aware partitioner must keep whole —
-// partitioning can only help when the sharing graph actually
-// decomposes.
-func multiWorkload(p Profile) ([]*task.Task, rtime.Time, error) {
+// tasks at total load ≈ 2.2. Sharing is re-clustered into pairs (task
+// 2k and 2k+1 share private object k): the default workload's object
+// ring would fuse all tasks into ONE component, which the object-aware
+// partitioner must keep whole — partitioning can only help when the
+// sharing graph actually decomposes.
+func multiWorkload() ([]*task.Task, error) {
 	w := WorkloadSpec{
 		NumTasks: MultiTasks, NumObjects: 8, AccessesPerJob: 2,
 		MeanExec: 500 * rtime.Microsecond, TargetAL: 2.2,
@@ -32,7 +30,7 @@ func multiWorkload(p Profile) ([]*task.Task, rtime.Time, error) {
 	}
 	template, err := w.Build()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	for i, tk := range template {
 		for si, seg := range tk.Segments {
@@ -41,7 +39,7 @@ func multiWorkload(p Profile) ([]*task.Task, rtime.Time, error) {
 			}
 		}
 	}
-	return template, horizonFor(template, p), nil
+	return template, nil
 }
 
 // MultiCPU extends the evaluation toward the paper's §7 future work:
@@ -59,18 +57,13 @@ func MultiCPU(p Profile) ([]*Table, error) {
 		Columns: []string{"cpus", "AUR", "CMR", "retries"},
 	}
 	cpuCounts := multiCPUCounts(p)
-	template, horizon, err := multiWorkload(p)
+	template, err := multiWorkload()
 	if err != nil {
 		return nil, err
 	}
-	cells, err := runner.Grid(p.Jobs, len(cpuCounts), 1, len(p.Seeds), func(ci, _, rep int) (metrics.RunStats, error) {
-		cfg := baseConfig(task.CloneAll(template), horizon, p.Seeds[rep])
-		cfg.Mode = sim.LockFree
-		stats, err := runEngine(TraceSimMulti, cpuCounts[ci], cfg, false)
-		if err != nil {
-			return metrics.RunStats{}, err
-		}
-		return stats(), nil
+	points := editPoints(template, cpuCounts, func(*sim.Config, int) {})
+	cells, err := runSweep(p, points, []variant{lockFree}, func(cfg sim.Config, ci, _ int) (metrics.RunStats, error) {
+		return engineCell(TraceSimMulti, cpuCounts[ci], cfg)
 	})
 	if err != nil {
 		return nil, err

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/task"
 )
 
 // scaleCPUs is the processor count the multiprocessor engines use in the
@@ -26,7 +24,7 @@ func scaleNs(p Profile) []int {
 // clustered workload of ScaleWorkload: every (engine × sharing mode)
 // combination runs the same n-task set for one seed, and the table
 // reports deterministic outcome counters. Wall-clock belongs to the
-// benchmark path (rtsim -bench-json, gated in CI against BENCH_PR6.json),
+// benchmark path (rtsim -bench-json, gated in CI against BENCH_PR8.json),
 // not to the table: counters are byte-identical across machines, seconds
 // are not.
 //
@@ -45,19 +43,18 @@ func Scale(p Profile) ([]*Table, error) {
 		Columns: []string{"n", "engine", "mode", "released", "completed", "AUR", "CMR", "retries"},
 	}
 	ns := scaleNs(p)
-	// The horizon multiplier is capped at the quick profile's: event count
-	// already scales linearly with n, and the sweep's point is breadth in
-	// n, not depth in virtual time.
-	hp := p
-	hp.HorizonMult = min(p.HorizonMult, Quick.HorizonMult)
-
-	templates := make([][]*task.Task, len(ns))
+	// One seed, and the horizon multiplier capped at the quick profile's:
+	// event count already scales linearly with n, and the sweep's point is
+	// breadth in n, not depth in virtual time.
+	sp := p
+	sp.Seeds, sp.HorizonMult = Quick.Seeds[:1], min(p.HorizonMult, Quick.HorizonMult)
+	points := make([]sweepPoint, len(ns))
 	for i, n := range ns {
 		tasks, err := ScaleWorkload(n, 0.4, StepTUFs)
 		if err != nil {
 			return nil, err
 		}
-		templates[i] = tasks
+		points[i] = sweepPoint{tasks: tasks, edit: func(cfg *sim.Config) { cfg.OpCost = 0 }}
 	}
 
 	combos := []struct {
@@ -68,15 +65,12 @@ func Scale(p Profile) ([]*Table, error) {
 		{TraceSimMulti, sim.LockFree}, {TraceSimMulti, sim.LockBased},
 		{TraceSimGlobal, sim.LockFree}, {TraceSimGlobal, sim.LockBased},
 	}
-	cells, err := runner.Grid(p.Jobs, len(ns), len(combos), 1, func(ni, ci, _ int) (metrics.RunStats, error) {
-		tasks := task.CloneAll(templates[ni])
-		cfg := baseConfig(tasks, horizonFor(tasks, hp), Quick.Seeds[0])
-		cfg.Mode, cfg.OpCost = combos[ci].mode, 0
-		stats, err := runEngine(combos[ci].engine, scaleCPUs, cfg, false)
-		if err != nil {
-			return metrics.RunStats{}, err
-		}
-		return stats(), nil
+	variants := make([]variant, len(combos))
+	for ci, cb := range combos {
+		variants[ci] = func(cfg *sim.Config) { cfg.Mode = cb.mode }
+	}
+	cells, err := runSweep(sp, points, variants, func(cfg sim.Config, _, ci int) (metrics.RunStats, error) {
+		return engineCell(combos[ci].engine, scaleCPUs, cfg)
 	})
 	if err != nil {
 		return nil, err
