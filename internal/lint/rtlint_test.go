@@ -33,7 +33,7 @@ func TestAtomicmix(t *testing.T) {
 
 func TestSharedtask(t *testing.T) {
 	analysistest.Run(t, "testdata/src", lint.Sharedtask,
-		"sharedtask/app")
+		"sharedtask/app", "sharedtask/internal/experiment")
 }
 
 func TestFloatcmp(t *testing.T) {

@@ -8,8 +8,12 @@ import (
 )
 
 // Sharedtask flags closures handed to the parallel engine
-// (runner.Map / runner.Grid) that capture a *task.Task or
-// []*task.Task without a Clone/CloneAll anywhere in the data flow.
+// (runner.Map / runner.Grid, or the experiment package's runSweep, which
+// runs its cell and edit closures on runner.Grid) that capture a
+// *task.Task or []*task.Task without a Clone/CloneAll anywhere in the
+// data flow. A closure counts as handed over when it appears anywhere in
+// the call's arguments, so one wrapped in a helper call or a composite
+// literal is checked too.
 // Parallel sweep workers may only share task values read-only; a
 // captured live task that one run mutates (arrival state, segments)
 // while another reads is exactly the cross-run coupling that breaks the
@@ -22,7 +26,7 @@ import (
 var Sharedtask = &analysis.Analyzer{
 	Name: "sharedtask",
 	Doc: "flags *task.Task / []*task.Task captured by closures passed to runner.Map/Grid " +
-		"without Clone/CloneAll in the data flow",
+		"or runSweep without Clone/CloneAll in the data flow",
 	Run: runSharedtask,
 }
 
@@ -34,31 +38,66 @@ func runSharedtask(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			path, name, ok := calleePkgFunc(pass.TypesInfo, call)
-			if !ok || !pathHasSegments(path, "internal/runner") || (name != "Map" && name != "Grid") {
+			name, ok := fanOutCallee(pass.TypesInfo, call)
+			if !ok {
 				return true
 			}
-			var lit *ast.FuncLit
-			for _, arg := range call.Args {
-				if fl, ok := arg.(*ast.FuncLit); ok {
-					lit = fl
+			for _, lit := range argClosures(call) {
+				for _, cap := range taskCaptures(pass.TypesInfo, lit) {
+					if clonedBeforeCapture(pass.TypesInfo, parents, call, cap.obj) || clonedInside(pass.TypesInfo, lit, cap.obj) {
+						continue
+					}
+					pass.Reportf(cap.use.Pos(), "%s %q captured by closure passed to %s without Clone/CloneAll; "+
+						"parallel runs must not share mutable tasks",
+						types.TypeString(cap.obj.Type(), types.RelativeTo(pass.Pkg)), cap.obj.Name(), name)
 				}
-			}
-			if lit == nil {
-				return true
-			}
-			for _, cap := range taskCaptures(pass.TypesInfo, lit) {
-				if clonedBeforeCapture(pass.TypesInfo, parents, call, cap.obj) || clonedInside(pass.TypesInfo, lit, cap.obj) {
-					continue
-				}
-				pass.Reportf(cap.use.Pos(), "%s %q captured by closure passed to runner.%s without Clone/CloneAll; "+
-					"parallel runs must not share mutable tasks",
-					types.TypeString(cap.obj.Type(), types.RelativeTo(pass.Pkg)), cap.obj.Name(), name)
 			}
 			return true
 		})
 	}
 	return nil, nil
+}
+
+// fanOutCallee names the parallel fan-out call enters: runner.Map,
+// runner.Grid, or runSweep of a package under internal/experiment
+// (called unqualified, from inside that package).
+func fanOutCallee(info *types.Info, call *ast.CallExpr) (string, bool) {
+	if path, name, ok := calleePkgFunc(info, call); ok {
+		return "runner." + name, pathHasSegments(path, "internal/runner") && (name == "Map" || name == "Grid")
+	}
+	fun := call.Fun
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	id, ok := fun.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return "", false
+	}
+	return fn.Name(), fn.Name() == "runSweep" && pathHasSegments(fn.Pkg().Path(), "internal/experiment")
+}
+
+// argClosures returns the outermost function literals anywhere in the
+// call's arguments: passed directly, wrapped in a helper call, or held
+// in a composite literal.
+func argClosures(call *ast.CallExpr) []*ast.FuncLit {
+	var out []*ast.FuncLit
+	for _, arg := range call.Args {
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if fl, ok := n.(*ast.FuncLit); ok {
+				out = append(out, fl)
+				return false
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // capture is one free variable of task type used inside a closure.
