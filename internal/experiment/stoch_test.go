@@ -39,14 +39,14 @@ func TestStochSweepShape(t *testing.T) {
 		if !strings.Contains(rel, "±") && rel == "" {
 			t.Fatalf("row %v: empty rel_err", row)
 		}
-		if row[modeCol] == "waitfree" {
+		if row[modeCol] == "private" {
 			// Cross-task conflicts are impossible; only the rare
 			// same-task successor conflict survives (see stochModes).
 			if rate, _ := strconv.ParseFloat(row[failCol], 64); rate > 0.01 {
-				t.Fatalf("wait-free stub fail_rate=%s, want ≈ 0", row[failCol])
+				t.Fatalf("private-object control fail_rate=%s, want ≈ 0", row[failCol])
 			}
 			if p999, _ := strconv.ParseInt(row[p999Col], 10, 64); p999 > 2 {
-				t.Fatalf("wait-free attempt p999 = %d, want ≤ 2", p999)
+				t.Fatalf("private-object control attempt p999 = %d, want ≤ 2", p999)
 			}
 		}
 		if row[modeCol] == "lockbased" && row[failCol] != "0.0000" {
