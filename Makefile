@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test race race-all stress vet lint bench trace-demo \
 	check-bounds report metrics bench-baseline bench-diff profile profile-layers \
-	fuzz-smoke scale-smoke stoch-smoke obs-smoke serve-smoke full-golden
+	fuzz-smoke scale-smoke stoch-smoke obs-smoke serve-smoke full-golden examples
 
 all: build vet lint test
 
@@ -11,6 +11,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Run every examples/ program end to end; the first nonzero exit fails
+# the target. `go build` alone would not catch a program that builds but
+# errors at run time (examples/multicore drives both multi-CPU engines).
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # The parallel experiment engine and the sweeps it drives must be
 # race-clean: runs share task templates read-only and merge by index.

@@ -458,12 +458,12 @@ func BenchmarkGlobalMultiprocessor(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sim.RunGlobal(sim.GlobalConfig{
-					CPUs: cpus, Tasks: tasks, Scheduler: rua.NewLockFree(),
+				if _, err := sim.RunGlobal(sim.Config{
+					Tasks: tasks, Scheduler: rua.NewLockFree(),
 					Mode: sim.LockFree, R: experiment.DefaultR, S: experiment.DefaultS,
 					Horizon:     rtime.Time(100 * rtime.Millisecond),
 					ArrivalKind: uam.KindJittered, Seed: 1,
-				}); err != nil {
+				}, cpus); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -44,19 +44,16 @@ func main() {
 	const horizon = rtime.Time(400 * rtime.Millisecond)
 	fmt.Printf("%4s  %22s  %22s\n", "cpus", "partitioned AUR/retries", "global AUR/retries")
 	for _, cpus := range []int{1, 2, 3, 4, 6} {
-		p, err := multi.Run(multi.Config{
-			CPUs: cpus, Tasks: tasks(), Mode: sim.LockFree,
-			R: 150, S: 5, Horizon: horizon,
+		cfg := sim.Config{
+			Tasks: tasks(), Mode: sim.LockFree, R: 150, S: 5, Horizon: horizon,
 			ArrivalKind: uam.KindJittered, Seed: 11,
-		})
+		}
+		p, err := multi.Run(cfg, cpus, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := sim.RunGlobal(sim.GlobalConfig{
-			CPUs: cpus, Tasks: tasks(), Scheduler: rua.NewLockFree(),
-			Mode: sim.LockFree, R: 150, S: 5, Horizon: horizon,
-			ArrivalKind: uam.KindJittered, Seed: 11,
-		})
+		cfg.Tasks, cfg.Scheduler = tasks(), rua.NewLockFree()
+		g, err := sim.RunGlobal(cfg, cpus)
 		if err != nil {
 			log.Fatal(err)
 		}

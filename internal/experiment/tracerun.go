@@ -92,12 +92,10 @@ var (
 // runEngine runs cfg on the named engine — uniprocessor, partitioned or
 // global, the last two on cpus processors — scheduled by fresh RUA
 // instances for cfg.Mode; shed selects the admission-control variant of
-// lock-free RUA. The global engine has no retry-accounting choice and
-// ignores cfg.ConservativeRetry. The returned func digests the finished
-// run on demand, so callers that only stream its events pay nothing
-// for it.
+// lock-free RUA. The returned func digests the finished run on demand,
+// so callers that only stream its events pay nothing for it.
 func runEngine(engine string, cpus int, cfg sim.Config, shed bool) (func() metrics.RunStats, error) {
-	newRUA := func() *rua.RUA {
+	newRUA := func() sched.Scheduler {
 		if cfg.Mode == sim.LockBased {
 			return rua.NewLockBased()
 		}
@@ -112,22 +110,12 @@ func runEngine(engine string, cpus int, cfg sim.Config, shed bool) (func() metri
 		res, err := sim.Run(cfg)
 		return func() metrics.RunStats { return metrics.Analyze(res) }, err
 	case TraceSimMulti:
-		res, err := multi.Run(multi.Config{
-			CPUs: cpus, Tasks: cfg.Tasks, Mode: cfg.Mode,
-			NewScheduler: func() sched.Scheduler { return newRUA() },
-			R:            cfg.R, S: cfg.S, OpCost: cfg.OpCost,
-			Horizon: cfg.Horizon, ArrivalKind: cfg.ArrivalKind, Seed: cfg.Seed,
-			ConservativeRetry: cfg.ConservativeRetry,
-			Fault:             cfg.Fault, Stoch: cfg.Stoch, Observer: cfg.Observer,
-		})
+		res, err := multi.Run(cfg, cpus, newRUA)
 		return func() metrics.RunStats { return res.Stats }, err
 	case TraceSimGlobal:
-		res, err := sim.RunGlobal(sim.GlobalConfig{
-			CPUs: cpus, Tasks: cfg.Tasks, Scheduler: newRUA(), Mode: cfg.Mode,
-			R: cfg.R, S: cfg.S, OpCost: cfg.OpCost,
-			Horizon: cfg.Horizon, ArrivalKind: cfg.ArrivalKind, Seed: cfg.Seed,
-			Fault: cfg.Fault, Stoch: cfg.Stoch, Observer: cfg.Observer,
-		})
+		// Commit-time validation is the global engine's only retry accounting.
+		cfg.Scheduler, cfg.ConservativeRetry = newRUA(), false
+		res, err := sim.RunGlobal(cfg, cpus)
 		return func() metrics.RunStats { return metrics.Analyze(res) }, err
 	}
 	return nil, fmt.Errorf("experiment: unknown trace simulator %q (want %s|%s|%s)",
@@ -171,7 +159,7 @@ func foldTrace(p Profile, simName string, lockBased bool, seed int64, withSeries
 	}
 	cfg := obs.Config{Horizon: horizon, CPUs: cpus, OnSpan: onSpan}
 	// The global engine's commit-time validation retries fall outside
-	// Theorem 2's model (see sim.GlobalConfig), so its runs carry no bound
+	// Theorem 2's model (see sim.NewGlobal), so its runs carry no bound
 	// check.
 	if simName != TraceSimGlobal {
 		ck := boundCheckConfig(p, lockBased, tasks)
@@ -216,7 +204,7 @@ func boundCheckConfig(p Profile, lockBased bool, tasks []*task.Task) check.Confi
 // (foldTrace) and checked span by span against the Theorem 2 retry bound
 // and the Theorem 3 worst-case sojourn composition. The global engine is
 // deliberately absent: its commit-time validation retries fall outside
-// Theorem 2's uniprocessor model (see sim.GlobalConfig), so it has no
+// Theorem 2's uniprocessor model (see sim.NewGlobal), so it has no
 // bound to check against.
 //
 // It returns the rendered report (byte-identical for any jobs value —

@@ -65,28 +65,23 @@ func TestPropertySpanStreamsWellFormed(t *testing.T) {
 		}
 		for _, engine := range []string{"uni", "multi"} {
 			rec := trace.NewRecorder(0)
+			newRUA := func() sched.Scheduler { return rua.NewLockFree().WithDegradation() }
+			cfg := sim.Config{
+				Tasks: task.CloneAll(tasks), Mode: sim.LockFree,
+				R: experiment.DefaultR, S: experiment.DefaultS,
+				OpCost:  experiment.DefaultOpCost,
+				Horizon: horizon, ArrivalKind: uam.KindBursty, Seed: seed,
+				ConservativeRetry: true, Fault: plan, Observer: rec.Record,
+			}
 			var runErr error
+			cpus := 1
 			switch engine {
 			case "uni":
-				_, runErr = sim.Run(sim.Config{
-					Tasks:     task.CloneAll(tasks),
-					Scheduler: rua.NewLockFree().WithDegradation(),
-					Mode:      sim.LockFree,
-					R:         experiment.DefaultR, S: experiment.DefaultS,
-					OpCost:  experiment.DefaultOpCost,
-					Horizon: horizon, ArrivalKind: uam.KindBursty, Seed: seed,
-					ConservativeRetry: true, Fault: plan, Observer: rec.Record,
-				})
+				cfg.Scheduler = newRUA()
+				_, runErr = sim.Run(cfg)
 			case "multi":
-				_, runErr = multi.Run(multi.Config{
-					CPUs: 2, Tasks: task.CloneAll(tasks),
-					NewScheduler: func() sched.Scheduler { return rua.NewLockFree().WithDegradation() },
-					Mode:         sim.LockFree,
-					R:            experiment.DefaultR, S: experiment.DefaultS,
-					OpCost:  experiment.DefaultOpCost,
-					Horizon: horizon, ArrivalKind: uam.KindBursty, Seed: seed,
-					ConservativeRetry: true, Fault: plan, Observer: rec.Record,
-				})
+				cpus = 2
+				_, runErr = multi.Run(cfg, cpus, newRUA)
 			}
 			if runErr != nil {
 				t.Fatalf("seed %d %s: run: %v", seed, engine, runErr)
@@ -94,10 +89,6 @@ func TestPropertySpanStreamsWellFormed(t *testing.T) {
 			events := rec.Events()
 			if _, err := span.Build(events, horizon); err != nil {
 				t.Errorf("seed %d %s: span.Build rejected the stream: %v", seed, engine, err)
-			}
-			cpus := 1
-			if engine == "multi" {
-				cpus = 2
 			}
 			if _, err := series.FromEvents(events, horizon, series.Config{
 				Window: series.WindowFor(horizon, 0), CPUs: cpus,

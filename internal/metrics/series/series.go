@@ -8,11 +8,11 @@
 // load/backlog charts plot.
 //
 // A Stream is fed through the engines' existing Observer plumbing
-// (sim.Config.Observer, multi.Config.Observer, sim.GlobalConfig.Observer)
-// and folds each event as it arrives; internal/obs composes it with the
-// other online folds. FromEvents runs the same fold over a recorded
-// slice and is the reference the online fold is tested against. Equal
-// traces yield byte-identical CSV renderings.
+// (sim.Config.Observer, which all three engines take) and folds each
+// event as it arrives; internal/obs composes it with the other online
+// folds. FromEvents runs the same fold over a recorded slice and is the
+// reference the online fold is tested against. Equal traces yield
+// byte-identical CSV renderings.
 package series
 
 import (

@@ -4,6 +4,8 @@
 // processor runs its own single-CPU RUA instance — which preserves every
 // single-processor result (Theorem 2's retry bound, the sojourn and AUR
 // analyses) per partition, because each partition IS the paper's model.
+// A run is described by the same sim.Config as a uniprocessor run plus a
+// CPU count; Run derives each partition's config from it.
 //
 // The partitioner is object-aware: tasks that share objects are grouped
 // into connected components (union-find over shared-object ids) and each
@@ -19,62 +21,17 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/rtime"
 	"repro/internal/rua"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/stoch"
 	"repro/internal/task"
 	"repro/internal/trace"
-	"repro/internal/uam"
 )
 
 // ErrConfig reports an invalid multiprocessor configuration.
 var ErrConfig = errors.New("multi: invalid config")
-
-// Config describes a partitioned multiprocessor run. The per-CPU engine
-// knobs mirror sim.Config.
-type Config struct {
-	CPUs  int
-	Tasks []*task.Task
-
-	// NewScheduler builds one scheduler instance per CPU (schedulers are
-	// stateful in principle, so they must not be shared). Nil means
-	// lock-free RUA for LockFree mode and lock-based RUA otherwise.
-	NewScheduler func() sched.Scheduler
-
-	Mode              sim.Mode
-	R, S              rtime.Duration
-	OpCost            float64
-	Horizon           rtime.Time
-	ArrivalKind       uam.Kind
-	Seed              int64
-	ConservativeRetry bool
-
-	// Fault, when non-nil and active, injects the same seeded fault plan
-	// into every partition engine. The plan is shared unchanged: decisions
-	// are pure hashes of (plan seed, task ID, indices), so a task is
-	// perturbed identically regardless of which CPU it lands on.
-	Fault *fault.Plan
-
-	// Stoch, when non-nil and active, overlays the seeded stochastic
-	// scheduler (internal/stoch) on every partition engine. The plan is
-	// shared unchanged; each partition folds its CPU index into the
-	// decision hashes, so partitions draw independent quanta and picks
-	// from one seed.
-	Stoch *stoch.Plan
-
-	// Observer, when non-nil, receives every partition engine's trace
-	// events with Event.CPU rewritten to the partition index. The
-	// partition engines are stepped in lockstep — at each step the engine
-	// with the earliest pending event (ties broken by ascending CPU)
-	// advances one event — so the merged stream is nondecreasing in
-	// Event.At and online sinks (internal/obs) can fold it without
-	// buffering or sorting.
-	Observer func(trace.Event)
-}
 
 // Result aggregates a partitioned run.
 type Result struct {
@@ -178,26 +135,55 @@ func Partition(tasks []*task.Task, cpus int, acc rtime.Duration) ([]int, error) 
 	return assign, nil
 }
 
-// Run partitions the task set and executes one independent engine per
-// CPU. Task IDs are preserved, so per-task analysis (retry bounds etc.)
-// applies within each partition.
-func Run(cfg Config) (Result, error) {
-	if cfg.CPUs < 1 {
-		return Result{}, fmt.Errorf("%w: %d CPUs", ErrConfig, cfg.CPUs)
+// Run partitions cfg.Tasks over cpus processors and executes one
+// independent uniprocessor engine per CPU. Task IDs are preserved, so
+// per-task analysis (retry bounds etc.) applies within each partition.
+//
+// Each partition runs a copy of cfg that differs only in Tasks (the
+// partition's tasks), Scheduler (a fresh newScheduler() instance:
+// schedulers are stateful in principle, so partitions must not share
+// one; nil means lock-free RUA for LockFree mode and lock-based RUA
+// otherwise), Seed (offset by the CPU index), StochCPU and Observer:
+//
+//   - Fault is shared unchanged: its decisions are pure hashes of (plan
+//     seed, task ID, indices), so a task is perturbed identically
+//     whichever CPU it lands on.
+//   - Stoch is shared unchanged; each partition folds its CPU index into
+//     the decision hashes as StochCPU, so partitions draw independent
+//     quanta and picks from one seed.
+//   - Observer receives every partition's trace events with Event.CPU
+//     rewritten to the partition index. The partition engines are
+//     stepped in lockstep (at each step the engine with the earliest
+//     pending event, ties broken by ascending CPU, advances one event),
+//     so the merged stream is nondecreasing in Event.At and online
+//     sinks (internal/obs) fold it without buffering or sorting.
+//
+// cfg.Scheduler must be nil, since one instance cannot serve every
+// partition; cfg.Arrivals must be nil, since traces are indexed by the
+// whole task list, not by partition; and cfg.StochCPU must be 0.
+func Run(cfg sim.Config, cpus int, newScheduler func() sched.Scheduler) (Result, error) {
+	switch {
+	case cpus < 1:
+		return Result{}, fmt.Errorf("%w: %d CPUs", ErrConfig, cpus)
+	case cfg.Scheduler != nil:
+		return Result{}, fmt.Errorf("%w: one scheduler instance for every partition; pass a factory", ErrConfig)
+	case cfg.Arrivals != nil:
+		return Result{}, fmt.Errorf("%w: explicit arrival traces cannot follow tasks into partitions", ErrConfig)
+	case cfg.StochCPU != 0:
+		return Result{}, fmt.Errorf("%w: StochCPU %d; partitions hash with their own CPU index", ErrConfig, cfg.StochCPU)
 	}
-	assign, err := Partition(cfg.Tasks, cfg.CPUs, cfg.Mode.AccessCost(cfg.R, cfg.S))
+	assign, err := Partition(cfg.Tasks, cpus, cfg.Mode.AccessCost(cfg.R, cfg.S))
 	if err != nil {
 		return Result{}, err
 	}
-	newSched := cfg.NewScheduler
-	if newSched == nil {
+	if newScheduler == nil {
 		if cfg.Mode == sim.LockFree {
-			newSched = func() sched.Scheduler { return rua.NewLockFree() }
+			newScheduler = func() sched.Scheduler { return rua.NewLockFree() }
 		} else {
-			newSched = func() sched.Scheduler { return rua.NewLockBased() }
+			newScheduler = func() sched.Scheduler { return rua.NewLockBased() }
 		}
 	}
-	res := Result{Assignment: assign, PerCPU: make([]sim.Result, cfg.CPUs)}
+	res := Result{Assignment: assign, PerCPU: make([]sim.Result, cpus)}
 	// metrics.Analyze reads only the jobs and the horizon; per-CPU
 	// counters stay in PerCPU.
 	merged := sim.Result{Horizon: cfg.Horizon}
@@ -208,8 +194,8 @@ func Run(cfg Config) (Result, error) {
 	// NextAt (ties broken by ascending CPU) yields a merged stream
 	// nondecreasing in Event.At — equivalent to a stable sort by At of
 	// the old sequential per-CPU streams.
-	engines := make([]*sim.Engine, cfg.CPUs)
-	for cpu := 0; cpu < cfg.CPUs; cpu++ {
+	engines := make([]*sim.Engine, cpus)
+	for cpu := 0; cpu < cpus; cpu++ {
 		var part []*task.Task
 		for ti, t := range cfg.Tasks {
 			if assign[ti] == cpu {
@@ -220,30 +206,16 @@ func Run(cfg Config) (Result, error) {
 			res.PerCPU[cpu] = sim.Result{Horizon: cfg.Horizon}
 			continue
 		}
-		var obs func(trace.Event)
+		pcfg := cfg
+		pcfg.Tasks, pcfg.Scheduler = part, newScheduler()
+		pcfg.Seed, pcfg.StochCPU = cfg.Seed+int64(cpu)*104729, cpu
 		if cfg.Observer != nil {
-			cpu := cpu
-			obs = func(ev trace.Event) {
+			pcfg.Observer = func(ev trace.Event) {
 				ev.CPU = cpu
 				cfg.Observer(ev)
 			}
 		}
-		eng, err := sim.New(sim.Config{
-			Tasks:             part,
-			Scheduler:         newSched(),
-			Mode:              cfg.Mode,
-			R:                 cfg.R,
-			S:                 cfg.S,
-			OpCost:            cfg.OpCost,
-			Horizon:           cfg.Horizon,
-			ArrivalKind:       cfg.ArrivalKind,
-			Seed:              cfg.Seed + int64(cpu)*104729,
-			ConservativeRetry: cfg.ConservativeRetry,
-			Fault:             cfg.Fault,
-			Stoch:             cfg.Stoch,
-			StochCPU:          cpu,
-			Observer:          obs,
-		})
+		eng, err := sim.New(pcfg)
 		if err != nil {
 			return Result{}, fmt.Errorf("multi: cpu %d: %w", cpu, err)
 		}

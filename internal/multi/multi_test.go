@@ -105,19 +105,17 @@ func TestRunSpreadsOverload(t *testing.T) {
 		}
 		return out
 	}
-	one, err := Run(Config{
-		CPUs: 1, Tasks: mk(), Mode: sim.LockFree,
+	cfg := sim.Config{
+		Tasks: mk(), Mode: sim.LockFree,
 		R: 150, S: 5, Horizon: 100_000, ArrivalKind: uam.KindJittered,
 		Seed: 3, ConservativeRetry: true,
-	})
+	}
+	one, err := Run(cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Run(Config{
-		CPUs: 4, Tasks: mk(), Mode: sim.LockFree,
-		R: 150, S: 5, Horizon: 100_000, ArrivalKind: uam.KindJittered,
-		Seed: 3, ConservativeRetry: true,
-	})
+	cfg.Tasks = mk()
+	four, err := Run(cfg, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +136,11 @@ func TestRunLockBased(t *testing.T) {
 		mkTask(1, 300, 3000, 2, []int{0}),
 		mkTask(2, 300, 3000, 2, []int{1}),
 	}
-	res, err := Run(Config{
-		CPUs: 2, Tasks: tasks, Mode: sim.LockBased,
+	res, err := Run(sim.Config{
+		Tasks: tasks, Mode: sim.LockBased,
 		R: 50, S: 5, Horizon: 60_000, ArrivalKind: uam.KindPeriodic,
 		Seed: 1,
-	})
+	}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +153,29 @@ func TestRunLockBased(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{CPUs: 0}); !errors.Is(err, ErrConfig) {
-		t.Fatal("0 CPUs accepted")
+	good := func() sim.Config {
+		return sim.Config{
+			Tasks: []*task.Task{mkTask(0, 300, 3000, 2, []int{0})},
+			Mode:  sim.LockFree, R: 50, S: 5, Horizon: 60_000,
+		}
+	}
+	if _, err := Run(good(), 2, nil); err != nil {
+		t.Fatalf("good config rejected: %v", err)
+	}
+	if _, err := Run(good(), 0, nil); !errors.Is(err, ErrConfig) {
+		t.Error("0 CPUs accepted")
+	}
+	// Fields no partitioned run can honor.
+	for name, mut := range map[string]func(*sim.Config){
+		"shared-scheduler": func(c *sim.Config) { c.Scheduler = rua.NewLockFree() },
+		"arrival-traces":   func(c *sim.Config) { c.Arrivals = []uam.Trace{{0}} },
+		"stoch-cpu":        func(c *sim.Config) { c.StochCPU = 1 },
+	} {
+		c := good()
+		mut(&c)
+		if _, err := Run(c, 2, nil); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s accepted: %v", name, err)
+		}
 	}
 }
 
@@ -258,19 +277,17 @@ func TestQuickSingleCPUMatchesUniprocessorStream(t *testing.T) {
 		horizon := rtime.Time(15 * maxC)
 		kind := uam.Kind(uint64(seed) % 3)
 		mrec, urec := trace.NewRecorder(0), trace.NewRecorder(0)
-		if _, err := Run(Config{
-			CPUs: 1, Tasks: mk(), Mode: mode, R: 40, S: 7, OpCost: 0.02,
+		cfg := sim.Config{
+			Tasks: mk(), Mode: mode, R: 40, S: 7, OpCost: 0.02,
 			Horizon: horizon, ArrivalKind: kind, Seed: seed, ConservativeRetry: true,
 			Fault: fp, Stoch: sp, Observer: mrec.Record,
-		}); err != nil {
+		}
+		if _, err := Run(cfg, 1, nil); err != nil {
 			t.Logf("multi: %v", err)
 			return false
 		}
-		if _, err := sim.Run(sim.Config{
-			Tasks: mk(), Scheduler: newRUA(), Mode: mode, R: 40, S: 7, OpCost: 0.02,
-			Horizon: horizon, ArrivalKind: kind, Seed: seed, ConservativeRetry: true,
-			Fault: fp, Stoch: sp, Observer: urec.Record,
-		}); err != nil {
+		cfg.Tasks, cfg.Scheduler, cfg.Observer = mk(), newRUA(), urec.Record
+		if _, err := sim.Run(cfg); err != nil {
 			t.Logf("sim: %v", err)
 			return false
 		}

@@ -20,12 +20,12 @@ func stochMRun(t *testing.T, plan *stoch.Plan) (Result, []trace.Event) {
 		mkTask(3, 400, 2000, 1, []int{2}),
 	}
 	rec := trace.NewRecorder(0)
-	res, err := Run(Config{
-		CPUs: 2, Tasks: tasks, Mode: sim.LockFree,
+	res, err := Run(sim.Config{
+		Tasks: tasks, Mode: sim.LockFree,
 		R: 150, S: 5, OpCost: 0.02, Horizon: 100_000,
 		ArrivalKind: uam.KindJittered, Seed: 9, ConservativeRetry: true,
 		Stoch: plan, Observer: rec.Record,
-	})
+	}, 2, nil)
 	if err != nil {
 		t.Fatalf("multi stoch run: %v", err)
 	}

@@ -1,11 +1,11 @@
 // Package obs is the streaming observability pipeline: it sits behind
-// the engines' existing Observer hook (sim.Config.Observer,
-// multi.Config.Observer, sim.GlobalConfig.Observer) and folds trace events
-// ONLINE — per-job spans, bound checks, windowed series, per-object
-// retry telemetry. It is the only way production code folds an
-// engine's event stream: nothing records the full event slice to fold
-// it afterwards, so memory stays O(windows + live jobs + flight ring)
-// at the 10⁴–10⁵-task scales the engines reach.
+// the engines' existing Observer hook (sim.Config.Observer, which all
+// three engines take) and folds trace events ONLINE — per-job spans,
+// bound checks, windowed series, per-object retry telemetry. It is the
+// only way production code folds an engine's event stream: nothing
+// records the full event slice to fold it afterwards, so memory stays
+// O(windows + live jobs + flight ring) at the 10⁴–10⁵-task scales the
+// engines reach.
 //
 // Every engine guarantees its observer stream is nondecreasing in
 // Event.At (the partitioned engine steps its partitions in lockstep to

@@ -30,7 +30,7 @@ import (
 // An instance reuses internal scratch buffers across Select calls to keep
 // the per-decision hot path allocation-free, so it must not be shared by
 // concurrently running simulations — give each engine its own instance
-// (cf. multi.Config.NewScheduler). The charged-operation accounting is
+// (cf. multi.Run's scheduler factory). The charged-operation accounting is
 // pure: reuse changes allocation behaviour only, never op counts.
 type RUA struct {
 	lockFree bool

@@ -3,13 +3,9 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/fault"
-	"repro/internal/rtime"
 	"repro/internal/sched"
-	"repro/internal/stoch"
 	"repro/internal/task"
 	"repro/internal/trace"
-	"repro/internal/uam"
 )
 
 // The global multiprocessor policy is the second half of the paper's §7
@@ -34,47 +30,6 @@ import (
 // explicit Lock/Unlock sections are unsupported, and scheduler overhead
 // is modelled as a global dispatch latency.
 
-// GlobalConfig describes a global multiprocessor run. The fields shared
-// with Config mean the same.
-type GlobalConfig struct {
-	CPUs      int
-	Tasks     []*task.Task
-	Scheduler sched.TopK
-	Mode      Mode
-	R, S      rtime.Duration
-	OpCost    float64
-	Horizon   rtime.Time
-
-	ArrivalKind uam.Kind
-	Seed        int64
-	Arrivals    []uam.Trace
-
-	// Observer, when non-nil, receives the same trace-event vocabulary
-	// the uniprocessor engine emits, with Event.CPU carrying the
-	// dispatching processor (or -1 for unbound events: arrivals, aborts,
-	// scheduler passes — the global scheduler runs on no particular
-	// CPU). The stream is nondecreasing in Event.At: every emission is
-	// stamped at the engine event being processed, so online sinks
-	// (internal/obs) can fold it without buffering or sorting.
-	Observer func(trace.Event)
-
-	// Fault, when active, injects deterministic faults exactly as
-	// Config.Fault does; see internal/fault. Phantom-writer CAS failures
-	// compose with this engine's real commit-time validation: a commit
-	// must survive both to land.
-	Fault *fault.Plan
-
-	// Stoch, when active, overlays the seeded stochastic scheduler
-	// (internal/stoch): per-CPU dispatches are force-preempted after a
-	// drawn quantum, and a picked pass shuffles the scheduler's ranked
-	// list (the ranked-dispatch analogue of the uniprocessor engine's
-	// random pick). The global pass hashes with CPU coordinate -1 —
-	// the same convention its unbound trace events use — and quanta
-	// hash with the dispatching CPU. Nil or inactive plans leave the
-	// run bit-for-bit identical to one without the field.
-	Stoch *stoch.Plan
-}
-
 // GlobalEngine executes one global multiprocessor run: the kernel's
 // event loop under the global dispatch policy.
 type GlobalEngine struct {
@@ -85,22 +40,42 @@ type GlobalEngine struct {
 	plcbuf  map[*task.Job]bool // applyAssignment scratch: placed set
 }
 
-// NewGlobal builds a global multiprocessor engine.
-func NewGlobal(cfg GlobalConfig) (*GlobalEngine, error) {
-	base := Config{
-		Tasks: cfg.Tasks, Mode: cfg.Mode, R: cfg.R, S: cfg.S,
-		OpCost: cfg.OpCost, Horizon: cfg.Horizon,
-		ArrivalKind: cfg.ArrivalKind, Seed: cfg.Seed, Arrivals: cfg.Arrivals,
-		Observer: cfg.Observer, Fault: cfg.Fault, Stoch: cfg.Stoch,
+// NewGlobal builds a global multiprocessor engine that runs cfg on cpus
+// processors. The fields of cfg mean what they mean to New, with these
+// differences:
+//
+//   - cfg.Scheduler must implement sched.TopK: every pass ranks the live
+//     jobs and the top cpus of them run.
+//   - ConservativeRetry must be false: the global policy always
+//     validates lock-free accesses at commit time.
+//   - Observer events carry the dispatching processor in Event.CPU, or
+//     -1 for events bound to no processor (arrivals, aborts, scheduler
+//     passes: the global scheduler runs on no particular CPU). The
+//     stream is nondecreasing in Event.At, since every emission is
+//     stamped at the engine event being processed, so online sinks
+//     (internal/obs) fold it without buffering or sorting.
+//   - Fault's phantom-writer CAS failures compose with the real
+//     commit-time validation: a commit must survive both to land.
+//   - Stoch force-preempts each per-CPU dispatch after a drawn quantum,
+//     hashed with the dispatching CPU, and a picked pass shuffles the
+//     scheduler's ranked list, hashed with CPU coordinate -1 (the
+//     coordinate of unbound trace events). StochCPU must be 0.
+func NewGlobal(cfg Config, cpus int) (*GlobalEngine, error) {
+	if cpus < 1 {
+		return nil, fmt.Errorf("%w: %d CPUs", ErrConfig, cpus)
 	}
-	if cfg.CPUs < 1 {
-		return nil, fmt.Errorf("%w: %d CPUs", ErrConfig, cfg.CPUs)
-	}
-	if err := base.validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Scheduler == nil {
-		return nil, fmt.Errorf("%w: no scheduler", ErrConfig)
+	topk, ok := cfg.Scheduler.(sched.TopK)
+	if !ok {
+		return nil, fmt.Errorf("%w: scheduler %T does not rank jobs (sched.TopK)", ErrConfig, cfg.Scheduler)
+	}
+	if cfg.ConservativeRetry {
+		return nil, fmt.Errorf("%w: conservative retry; the global engine validates at commit time", ErrConfig)
+	}
+	if cfg.StochCPU != 0 {
+		return nil, fmt.Errorf("%w: StochCPU %d; the global engine hashes with its own CPUs", ErrConfig, cfg.StochCPU)
 	}
 	for _, t := range cfg.Tasks {
 		if t.AbortCost != 0 {
@@ -111,11 +86,11 @@ func NewGlobal(cfg GlobalConfig) (*GlobalEngine, error) {
 		}
 	}
 	e := &GlobalEngine{
-		sched:  cfg.Scheduler,
-		selbuf: make(map[*task.Job]bool, cfg.CPUs),
-		plcbuf: make(map[*task.Job]bool, cfg.CPUs),
+		sched:  topk,
+		selbuf: make(map[*task.Job]bool, cpus),
+		plcbuf: make(map[*task.Job]bool, cpus),
 	}
-	if err := e.init(base, cfg.CPUs, true, cfg.Scheduler); err != nil {
+	if err := e.init(cfg, cpus, true, topk); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -347,8 +322,8 @@ func (e *GlobalEngine) tryDispatch(cpu int, j *task.Job) bool {
 }
 
 // RunGlobal is a convenience: build a global engine and run it.
-func RunGlobal(cfg GlobalConfig) (Result, error) {
-	e, err := NewGlobal(cfg)
+func RunGlobal(cfg Config, cpus int) (Result, error) {
+	e, err := NewGlobal(cfg, cpus)
 	if err != nil {
 		return Result{}, err
 	}

@@ -27,11 +27,11 @@ func TestGlobalOverloadSpreads(t *testing.T) {
 		return out
 	}
 	run := func(cpus int) metrics.RunStats {
-		r, err := sim.RunGlobal(sim.GlobalConfig{
-			CPUs: cpus, Tasks: mk(), Scheduler: rua.NewLockFree(),
+		r, err := sim.RunGlobal(sim.Config{
+			Tasks: mk(), Scheduler: rua.NewLockFree(),
 			Mode: sim.LockFree, R: 150, S: 5, Horizon: 100_000,
 			ArrivalKind: uam.KindJittered, Seed: 5,
-		})
+		}, cpus)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,11 +62,11 @@ func TestQuickGlobalInvariants(t *testing.T) {
 			}
 		}
 		horizon := rtime.Time(15 * maxC)
-		res, err := RunGlobal(GlobalConfig{
-			CPUs: cpus, Tasks: tasks, Scheduler: s, Mode: mode,
+		res, err := RunGlobal(Config{
+			Tasks: tasks, Scheduler: s, Mode: mode,
 			R: 40, S: 7, OpCost: 0, Horizon: horizon,
 			ArrivalKind: uam.Kind(seed % 3), Seed: seed,
-		})
+		}, cpus)
 		if err != nil {
 			t.Logf("engine error (cpus=%d mode=%v sched=%s): %v", cpus, mode, s.Name(), err)
 			return false
@@ -141,11 +141,11 @@ func TestQuickGlobalMoreCPUsNeverHurt(t *testing.T) {
 		}
 		horizon := rtime.Time(10 * maxC)
 		run := func(cpus int) int64 {
-			res, err := RunGlobal(GlobalConfig{
-				CPUs: cpus, Tasks: mk(), Scheduler: sched.EDF{},
+			res, err := RunGlobal(Config{
+				Tasks: mk(), Scheduler: sched.EDF{},
 				Mode: LockFree, R: 40, S: 7, Horizon: horizon,
 				ArrivalKind: uam.KindJittered, Seed: seed,
-			})
+			}, cpus)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,10 +168,18 @@ func TestQuickGlobalMoreCPUsNeverHurt(t *testing.T) {
 // generated with shared objects, in both modes, under RUA. The relation
 // holds on the subset where the policies' cost models coincide:
 //
-//   - AbortCost = 0: the global policy's handlers are instantaneous;
-//   - OpCost = 0: Select and SelectTopK charge different op counts for
-//     the same decision, so a non-zero charge delays the two policies'
-//     dispatches differently.
+//   - AbortCost = 0: the global policy's handlers are instantaneous.
+//   - OpCost = 0: the policies run different passes, and a pass's
+//     overhead occupies the processor differently:
+//     (1) the uniprocessor policy retires an abort in two events, the
+//     critical-time abort and its evAbortDone departure, with a pass at
+//     each; the global policy retires it at once, with one pass. The
+//     extra passes are exactly the departure passes.
+//     (2) a uniprocessor pass stops the running job for its overhead;
+//     a global pass is a dispatch latency, and a job it selects again
+//     keeps running through it.
+//     At a zero charge neither difference moves a completion; at a
+//     nonzero one, either shifts completions by the pass overhead.
 //
 // Preemption counts are not compared: the global policy marks every
 // deschedule, the uniprocessor one only a displacement at the next
@@ -197,18 +205,17 @@ func TestGlobalSingleCPUMatchesUniprocessorEngine(t *testing.T) {
 		}
 		horizon := rtime.Time(20 * maxC)
 		kind := uam.Kind(uint64(seed) % 3)
-		g, err := RunGlobal(GlobalConfig{
-			CPUs: 1, Tasks: mk(), Scheduler: newRUA(), Mode: mode,
+		cfg := Config{
+			Tasks: mk(), Scheduler: newRUA(), Mode: mode,
 			R: 40, S: 7, Horizon: horizon, ArrivalKind: kind, Seed: seed,
-		})
+		}
+		g, err := RunGlobal(cfg, 1)
 		if err != nil {
 			t.Logf("global: %v", err)
 			return false
 		}
-		u, err := Run(Config{
-			Tasks: mk(), Scheduler: newRUA(), Mode: mode,
-			R: 40, S: 7, Horizon: horizon, ArrivalKind: kind, Seed: seed,
-		})
+		cfg.Tasks, cfg.Scheduler = mk(), newRUA()
+		u, err := Run(cfg)
 		if err != nil {
 			t.Logf("uniprocessor: %v", err)
 			return false

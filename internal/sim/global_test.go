@@ -20,14 +20,14 @@ func globalTask(id int, u float64, c rtime.Duration, comp rtime.Duration, m int,
 }
 
 // globalStaged runs the global engine on explicit per-task arrivals.
-func globalStaged(t *testing.T, cfg GlobalConfig, arrivals map[int][]rtime.Time) Result {
+func globalStaged(t *testing.T, cfg Config, cpus int, arrivals map[int][]rtime.Time) Result {
 	t.Helper()
 	traces := make([]uam.Trace, len(cfg.Tasks))
 	for ti, times := range arrivals {
 		traces[ti] = append(traces[ti], times...)
 	}
 	cfg.Arrivals = traces
-	r, err := RunGlobal(cfg)
+	r, err := RunGlobal(cfg, cpus)
 	if err != nil {
 		t.Fatalf("global engine error: %v", err)
 	}
@@ -35,20 +35,23 @@ func globalStaged(t *testing.T, cfg GlobalConfig, arrivals map[int][]rtime.Time)
 }
 
 func TestGlobalConfigValidation(t *testing.T) {
-	good := GlobalConfig{
-		CPUs: 2, Tasks: []*task.Task{globalTask(0, 1, 1000, 100, 0, nil)},
+	good := Config{
+		Tasks:     []*task.Task{globalTask(0, 1, 1000, 100, 0, nil)},
 		Scheduler: sched.EDF{}, R: 10, S: 3, Horizon: 10_000,
 	}
-	if _, err := NewGlobal(good); err != nil {
+	if _, err := NewGlobal(good, 2); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
-	for name, mut := range map[string]func(*GlobalConfig){
-		"no-cpus":   func(c *GlobalConfig) { c.CPUs = 0 },
-		"no-tasks":  func(c *GlobalConfig) { c.Tasks = nil },
-		"no-sched":  func(c *GlobalConfig) { c.Scheduler = nil },
-		"bad-r":     func(c *GlobalConfig) { c.R = 0 },
-		"abortcost": func(c *GlobalConfig) { c.Tasks[0].AbortCost = 5 },
-		"explicit-sections": func(c *GlobalConfig) {
+	if _, err := NewGlobal(good, 0); !errors.Is(err, ErrConfig) {
+		t.Errorf("no-cpus accepted: %v", err)
+	}
+	for name, mut := range map[string]func(*Config){
+		"no-tasks":  func(c *Config) { c.Tasks = nil },
+		"no-sched":  func(c *Config) { c.Scheduler = nil },
+		"not-topk":  func(c *Config) { c.Scheduler = sched.LBESA{} },
+		"bad-r":     func(c *Config) { c.R = 0 },
+		"abortcost": func(c *Config) { c.Tasks[0].AbortCost = 5 },
+		"explicit-sections": func(c *Config) {
 			tk := nestedTask(0, 1, 1000, []task.Segment{
 				{Kind: task.Lock, Object: 0}, {Kind: task.Compute, D: 10}, {Kind: task.Unlock, Object: 0},
 			})
@@ -56,15 +59,18 @@ func TestGlobalConfigValidation(t *testing.T) {
 			c.Tasks[0] = tk
 		},
 		// Explicit arrival traces get the uniprocessor engine's checks.
-		"unsorted-arrivals":     func(c *GlobalConfig) { c.Arrivals = []uam.Trace{{100, 50}} },
-		"negative-arrival":      func(c *GlobalConfig) { c.Arrivals = []uam.Trace{{-5}} },
-		"arrival-past-horizon":  func(c *GlobalConfig) { c.Arrivals = []uam.Trace{{c.Horizon}} },
-		"surplus-arrival-trace": func(c *GlobalConfig) { c.Arrivals = []uam.Trace{{0}, {0}} },
+		"unsorted-arrivals":     func(c *Config) { c.Arrivals = []uam.Trace{{100, 50}} },
+		"negative-arrival":      func(c *Config) { c.Arrivals = []uam.Trace{{-5}} },
+		"arrival-past-horizon":  func(c *Config) { c.Arrivals = []uam.Trace{{c.Horizon}} },
+		"surplus-arrival-trace": func(c *Config) { c.Arrivals = []uam.Trace{{0}, {0}} },
+		// Fields the global policy cannot honor.
+		"conservative-retry": func(c *Config) { c.ConservativeRetry = true },
+		"stoch-cpu":          func(c *Config) { c.StochCPU = 1 },
 	} {
 		c := good
 		c.Tasks = []*task.Task{globalTask(0, 1, 1000, 100, 0, nil)}
 		mut(&c)
-		if _, err := NewGlobal(c); !errors.Is(err, ErrConfig) {
+		if _, err := NewGlobal(c, 2); !errors.Is(err, ErrConfig) {
 			t.Errorf("%s accepted: %v", name, err)
 		}
 	}
@@ -74,10 +80,10 @@ func TestGlobalParallelIndependentJobs(t *testing.T) {
 	// Two independent jobs on two CPUs both finish at their solo times.
 	t0 := globalTask(0, 1, 1000, 100, 0, nil)
 	t1 := globalTask(1, 1, 1000, 150, 0, nil)
-	r := globalStaged(t, GlobalConfig{
-		CPUs: 2, Tasks: []*task.Task{t0, t1}, Scheduler: sched.EDF{},
+	r := globalStaged(t, Config{
+		Tasks: []*task.Task{t0, t1}, Scheduler: sched.EDF{},
 		Mode: LockFree, R: 10, S: 3, Horizon: 10_000,
-	}, map[int][]rtime.Time{0: {0}, 1: {0}})
+	}, 2, map[int][]rtime.Time{0: {0}, 1: {0}})
 	if j := jobOf(r, 0, 0); j.Completion != 100 {
 		t.Fatalf("j0 completion = %v, want 100 (ran in parallel)", j.Completion)
 	}
@@ -91,10 +97,10 @@ func TestGlobalCommitTimeValidationConflict(t *testing.T) {
 	// commit time, retries once, and completes one access later.
 	t0 := globalTask(0, 1, 1000, 20, 1, []int{0}) // C(10) A C(10)
 	t1 := globalTask(1, 1, 2000, 20, 1, []int{0})
-	r := globalStaged(t, GlobalConfig{
-		CPUs: 2, Tasks: []*task.Task{t0, t1}, Scheduler: sched.EDF{},
+	r := globalStaged(t, Config{
+		Tasks: []*task.Task{t0, t1}, Scheduler: sched.EDF{},
 		Mode: LockFree, R: 20, S: 20, Horizon: 10_000,
-	}, map[int][]rtime.Time{0: {0}, 1: {0}})
+	}, 2, map[int][]rtime.Time{0: {0}, 1: {0}})
 	j0, j1 := jobOf(r, 0, 0), jobOf(r, 1, 0)
 	// Both enter the access at t=10 and reach commit at t=30; CPU0's T0
 	// wins, T1 fails validation and re-runs the access 30-50, then
@@ -119,10 +125,10 @@ func TestGlobalCommitTimeValidationConflict(t *testing.T) {
 func TestGlobalParallelDisjointObjectsNoRetry(t *testing.T) {
 	t0 := globalTask(0, 1, 1000, 20, 1, []int{0})
 	t1 := globalTask(1, 1, 2000, 20, 1, []int{1})
-	r := globalStaged(t, GlobalConfig{
-		CPUs: 2, Tasks: []*task.Task{t0, t1}, Scheduler: sched.EDF{},
+	r := globalStaged(t, Config{
+		Tasks: []*task.Task{t0, t1}, Scheduler: sched.EDF{},
 		Mode: LockFree, R: 20, S: 20, Horizon: 10_000,
-	}, map[int][]rtime.Time{0: {0}, 1: {0}})
+	}, 2, map[int][]rtime.Time{0: {0}, 1: {0}})
 	if r.Retries != 0 {
 		t.Fatalf("disjoint objects retried: %d", r.Retries)
 	}
@@ -136,10 +142,10 @@ func TestGlobalLockBasedCrossCPUBlocking(t *testing.T) {
 	// resumes after the release — blocking across processors.
 	t0 := globalTask(0, 1, 1000, 20, 1, []int{0})
 	t1 := globalTask(1, 1, 2000, 20, 1, []int{0})
-	r := globalStaged(t, GlobalConfig{
-		CPUs: 2, Tasks: []*task.Task{t0, t1}, Scheduler: sched.EDF{},
+	r := globalStaged(t, Config{
+		Tasks: []*task.Task{t0, t1}, Scheduler: sched.EDF{},
 		Mode: LockBased, R: 20, S: 3, Horizon: 10_000,
-	}, map[int][]rtime.Time{0: {0}, 1: {0}})
+	}, 2, map[int][]rtime.Time{0: {0}, 1: {0}})
 	j0, j1 := jobOf(r, 0, 0), jobOf(r, 1, 0)
 	// Both compute 0-10 in parallel; T0 takes the lock (EDF ranks it
 	// first at the simultaneous boundary), T1 blocks; T0's access 10-30,
@@ -158,10 +164,10 @@ func TestGlobalLockBasedCrossCPUBlocking(t *testing.T) {
 func TestGlobalAbortWhenCriticalTimeExpires(t *testing.T) {
 	hopeless := globalTask(0, 1, 100, 500, 0, nil)
 	ok := globalTask(1, 1, 1000, 50, 0, nil)
-	r := globalStaged(t, GlobalConfig{
-		CPUs: 1, Tasks: []*task.Task{hopeless, ok}, Scheduler: sched.EDF{},
+	r := globalStaged(t, Config{
+		Tasks: []*task.Task{hopeless, ok}, Scheduler: sched.EDF{},
 		Mode: LockFree, R: 10, S: 3, Horizon: 5000,
-	}, map[int][]rtime.Time{0: {0}, 1: {0}})
+	}, 1, map[int][]rtime.Time{0: {0}, 1: {0}})
 	if jobOf(r, 0, 0).State != task.Aborted {
 		t.Fatal("hopeless job not aborted")
 	}
@@ -176,10 +182,10 @@ func TestGlobalAffinityPreserved(t *testing.T) {
 	t0 := globalTask(0, 1, 2000, 500, 0, nil)
 	t1 := globalTask(1, 1, 2100, 500, 0, nil)
 	t2 := globalTask(2, 1, 5000, 100, 0, nil) // latest critical time
-	r := globalStaged(t, GlobalConfig{
-		CPUs: 2, Tasks: []*task.Task{t0, t1, t2}, Scheduler: sched.EDF{},
+	r := globalStaged(t, Config{
+		Tasks: []*task.Task{t0, t1, t2}, Scheduler: sched.EDF{},
 		Mode: LockFree, R: 10, S: 3, Horizon: 10_000,
-	}, map[int][]rtime.Time{0: {0}, 1: {0}, 2: {100}})
+	}, 2, map[int][]rtime.Time{0: {0}, 1: {0}, 2: {100}})
 	j0, j1, j2 := jobOf(r, 0, 0), jobOf(r, 1, 0), jobOf(r, 2, 0)
 	if j0.Preempts != 0 || j1.Preempts != 0 {
 		t.Fatalf("running jobs displaced: %d, %d preempts", j0.Preempts, j1.Preempts)
@@ -200,10 +206,10 @@ func TestGlobalMigrationAcrossCPUs(t *testing.T) {
 	t0 := globalTask(0, 1, 3000, 400, 0, nil)
 	t1 := globalTask(1, 1, 3100, 400, 0, nil)
 	t2 := globalTask(2, 1, 900, 200, 0, nil) // urgent latecomer
-	r := globalStaged(t, GlobalConfig{
-		CPUs: 2, Tasks: []*task.Task{t0, t1, t2}, Scheduler: sched.EDF{},
+	r := globalStaged(t, Config{
+		Tasks: []*task.Task{t0, t1, t2}, Scheduler: sched.EDF{},
 		Mode: LockFree, R: 10, S: 3, Horizon: 10_000,
-	}, map[int][]rtime.Time{0: {0}, 1: {0}, 2: {100}})
+	}, 2, map[int][]rtime.Time{0: {0}, 1: {0}, 2: {100}})
 	for _, j := range r.Jobs {
 		if j.State != task.Completed {
 			t.Fatalf("%s = %v", j.Name(), j.State)
@@ -239,12 +245,12 @@ func globalStochWorkload() []*task.Task {
 func globalStochRun(t *testing.T, plan *stoch.Plan) (Result, []trace.Event) {
 	t.Helper()
 	rec := trace.NewRecorder(0)
-	res, err := RunGlobal(GlobalConfig{
-		CPUs: 2, Tasks: globalStochWorkload(), Scheduler: rua.NewLockFree(),
+	res, err := RunGlobal(Config{
+		Tasks: globalStochWorkload(), Scheduler: rua.NewLockFree(),
 		Mode: LockFree, R: 150, S: 5, OpCost: 0.02,
 		Horizon: 100_000, ArrivalKind: uam.KindJittered, Seed: 42,
 		Stoch: plan, Observer: rec.Record,
-	})
+	}, 2)
 	if err != nil {
 		t.Fatalf("global stoch run: %v", err)
 	}

@@ -116,7 +116,7 @@ func TestBuildSchedulerEventsIgnored(t *testing.T) {
 
 func TestBuildMalformedTraces(t *testing.T) {
 	cases := [][]trace.Event{
-		{ev(0, trace.Dispatch, 0, 0, -1, 0)}, // before arrival
+		{ev(0, trace.Dispatch, 0, 0, -1, 0)},                                   // before arrival
 		{ev(0, trace.Arrival, 0, 0, -1, 0), ev(1, trace.Arrival, 0, 0, -1, 0)}, // duplicate
 		{ // event after departure
 			ev(0, trace.Arrival, 0, 0, -1, 0),
@@ -312,13 +312,13 @@ func TestSpanInvariantsProperty(t *testing.T) {
 						s = rua.NewLockFree()
 					}
 					rec := trace.NewRecorder(0)
-					res, err := sim.RunGlobal(sim.GlobalConfig{
-						CPUs: 2, Tasks: tasks, Scheduler: s, Mode: mode,
+					res, err := sim.RunGlobal(sim.Config{
+						Tasks: tasks, Scheduler: s, Mode: mode,
 						R: 100 * rtime.Microsecond, S: 5 * rtime.Microsecond,
 						OpCost: 0.02, Horizon: horizon,
 						ArrivalKind: uam.KindJittered, Seed: seed,
 						Observer: rec.Record,
-					})
+					}, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -339,13 +339,13 @@ func TestSpanInvariantsProperty(t *testing.T) {
 						mode = sim.LockBased
 					}
 					rec := trace.NewRecorder(0)
-					res, err := multi.Run(multi.Config{
-						CPUs: 2, Tasks: tasks, Mode: mode,
+					res, err := multi.Run(sim.Config{
+						Tasks: tasks, Mode: mode,
 						R: 100 * rtime.Microsecond, S: 5 * rtime.Microsecond,
 						OpCost: 0.02, Horizon: horizon,
 						ArrivalKind: uam.KindJittered, Seed: seed,
 						ConservativeRetry: true, Observer: rec.Record,
-					})
+					}, 2, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
