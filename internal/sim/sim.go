@@ -245,6 +245,7 @@ func (e *Engine) StepNext() bool {
 		if j.State == task.Aborting {
 			j.State = task.Aborted
 			e.res.ReleaseAll(j)
+			e.removeLive(j)
 			e.res1.Aborts++
 			e.emit(e.now, trace.AbortDone, j, -1, 0)
 			resched = true // departure is a scheduling event

@@ -838,3 +838,44 @@ func TestBackToBackJobsOfSameTask(t *testing.T) {
 		t.Fatalf("FIFO same-deadline job preempted: %d", j0.Preempts)
 	}
 }
+
+// TestAbortedJobsLeaveLive: an aborted job departs at the end of its
+// abort handler (§3.5), so an overloaded run must not leave any aborted
+// job in the live set that later scheduler passes receive.
+func TestAbortedJobsLeaveLive(t *testing.T) {
+	var tasks []*task.Task
+	for i := 0; i < 3; i++ {
+		tk := stepTask(i, float64(i+1), 4*rtime.Millisecond, 5*rtime.Millisecond, 2*rtime.Millisecond, 2, []int{i})
+		tk.AbortCost = 50
+		tasks = append(tasks, tk)
+	}
+	e, err := New(Config{
+		Tasks: tasks, Scheduler: rua.NewLockFree(),
+		Mode: LockFree, R: 100, S: 10, OpCost: 1, Horizon: rtime.Time(60 * rtime.Millisecond),
+		ArrivalKind: uam.KindPeriodic, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := e.Run()
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if r.Aborts == 0 {
+		t.Fatal("workload is not overloaded: no aborts")
+	}
+	for _, j := range e.live {
+		if j.Done() {
+			t.Errorf("%s left the system (%v) but is still live", j.Name(), j.State)
+		}
+	}
+	var pending int
+	for _, j := range r.Jobs {
+		if !j.Done() {
+			pending++
+		}
+	}
+	if len(e.live) != pending {
+		t.Fatalf("live holds %d jobs, want the %d that have not departed", len(e.live), pending)
+	}
+}
