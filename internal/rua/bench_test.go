@@ -27,6 +27,7 @@ func benchJobs(n int) [][]*task.Job {
 		c := rtime.Duration(100*n + 1000*(i%37))
 		comp := rtime.Duration(5 + i%16)
 		chains[i] = []*task.Job{mkJob(i, 1+float64(i%5), c, comp, 0)}
+		chains[i][0].SchedSlot = int32(i)
 	}
 	return chains
 }

@@ -83,23 +83,23 @@ type feasMut struct {
 type feasTree struct {
 	nodes   []feasNode
 	root    int32
-	free    []int32             // recycled node slots
-	pos     map[*task.Job]int32 // job → node index
+	free    []int32 // recycled node slots
+	pos     []int32 // Job.SchedSlot → node index, nilNode when absent
 	ops     *int64
 	journal []feasMut
 	prioCtr uint64
 }
 
-// reset clears the tree for a fresh scheduling pass, keeping capacity.
-func (t *feasTree) reset(hint int) {
+// reset clears the tree for a fresh scheduling pass over jobs whose
+// SchedSlot lies in [0, slots), keeping capacity.
+func (t *feasTree) reset(slots int) {
 	t.nodes = t.nodes[:0]
 	t.root = nilNode
 	t.free = t.free[:0]
-	if t.pos == nil {
-		//rtlint:ignore noalloc one-time lazy init; the map is cleared and reused every pass
-		t.pos = make(map[*task.Job]int32, hint)
+	t.pos = resize(t.pos, slots)
+	for i := range t.pos {
+		t.pos[i] = nilNode
 	}
-	clear(t.pos)
 	t.journal = t.journal[:0]
 	t.prioCtr = 0
 }
@@ -176,13 +176,26 @@ func (t *feasTree) alloc(j *task.Job, effC rtime.Time, rem rtime.Duration) int32
 		parent: nilNode, left: nilNode, right: nilNode,
 		cnt: 1, sum: rem, minSlack: int64(effC) - int64(rem),
 	}
-	//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-	t.pos[j] = i
+	t.pos[j.SchedSlot] = i
 	return i
 }
 
+// node returns j's node index, or nilNode when j is not in the tree. A
+// stale SchedSlot finds another job's node, or none, so the node's job
+// is checked too.
+func (t *feasTree) node(j *task.Job) int32 {
+	s := int(j.SchedSlot)
+	if s < 0 || s >= len(t.pos) {
+		return nilNode
+	}
+	if i := t.pos[s]; i != nilNode && t.nodes[i].job == j {
+		return i
+	}
+	return nilNode
+}
+
 func (t *feasTree) freeNode(i int32) {
-	delete(t.pos, t.nodes[i].job)
+	t.pos[t.nodes[i].job.SchedSlot] = nilNode
 	t.nodes[i] = feasNode{} // drop the job pointer
 	//rtlint:ignore noalloc reused free-list scratch; growth amortized
 	t.free = append(t.free, i)
@@ -337,8 +350,8 @@ func (t *feasTree) rollback(m int) {
 // lookup; the rank is reconstructed from the parent chain.
 func (t *feasTree) indexOf(j *task.Job) int {
 	t.chargeLog()
-	i, ok := t.pos[j]
-	if !ok {
+	i := t.node(j)
+	if i == nilNode {
 		return -1
 	}
 	rank := t.leftCnt(i)
@@ -389,8 +402,8 @@ func (t *feasTree) removeAt(pos int) (j *task.Job, effC rtime.Time, rem rtime.Du
 // effCOf returns the effective critical time of a present job.
 // Uncharged, like schedule.entryOf.
 func (t *feasTree) effCOf(j *task.Job) rtime.Time {
-	i, ok := t.pos[j]
-	if !ok {
+	i := t.node(j)
+	if i == nilNode {
 		return 0
 	}
 	return t.nodes[i].effC

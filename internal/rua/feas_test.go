@@ -67,6 +67,9 @@ func TestFeasTreeDifferential(t *testing.T) {
 			c := rtime.Duration(100 * (1 + rng.Intn(12)))
 			comp := rtime.Duration(5 + rng.Intn(120))
 			jobs[i] = mkJob(i, 1+float64(rng.Intn(5)), c, comp, 0)
+			// The tree finds jobs by slot; distinct slots, as a pass
+			// numbers them, keep the pool's jobs apart.
+			jobs[i].SchedSlot = int32(i)
 		}
 
 		var opsS, opsT int64
@@ -140,13 +143,15 @@ func TestFeasTreePositionalDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var opsS, opsT int64
 		s := &schedule{ops: &opsS}
+		const nOps = 400
 		ft := &feasTree{}
-		ft.reset(0)
+		ft.reset(nOps)
 		ft.ops = &opsT
 		nextID := 0
-		for op := 0; op < 400; op++ {
+		for op := 0; op < nOps; op++ {
 			if len(s.entries) == 0 || rng.Intn(3) > 0 {
 				j := mkJob(nextID, 1, rtime.Duration(50+rng.Intn(500)), rtime.Duration(1+rng.Intn(50)), 0)
+				j.SchedSlot = int32(nextID)
 				nextID++
 				effC := j.AbsoluteCriticalTime()
 				ps, pt := s.ecfPos(effC), ft.ecfPos(effC)

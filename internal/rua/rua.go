@@ -37,13 +37,17 @@ type RUA struct {
 	degrade  bool
 	observer func(trace.Event)
 
-	// Per-Select scratch, reset (not reallocated) on every pass.
-	live      []*task.Job
+	// Per-Select scratch, reset (not reallocated) on every pass. A pass
+	// numbers every job it reads: slots[s] is the job whose SchedSlot is
+	// s, and chains, pud, excluded and the feasibility tree's positions
+	// are slices indexed by slot. The pass's candidates take the first
+	// slots; lock holders outside them follow (see number).
+	slots     []*task.Job
 	chainBuf  []*task.Job // chain arena: lock-free singletons / lock-based walks
 	order     []*task.Job
-	chains    map[*task.Job][]*task.Job
-	pud       map[*task.Job]float64
-	excluded  map[*task.Job]bool
+	chains    [][]*task.Job
+	pud       []float64
+	excluded  []bool
 	feas      feasTree
 	sorter    pudSorter
 	cyclesBuf [][]*task.Job
@@ -294,7 +298,7 @@ func (s *schedule) feasible(now rtime.Time, acc rtime.Duration) bool {
 // counts are unchanged.
 type pudSorter struct {
 	order []*task.Job
-	pud   map[*task.Job]float64
+	pud   []float64 // indexed by Job.SchedSlot
 	ops   *int64
 }
 
@@ -302,7 +306,7 @@ func (s *pudSorter) Len() int      { return len(s.order) }
 func (s *pudSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
 func (s *pudSorter) Less(a, b int) bool {
 	*s.ops++
-	pa, pb := s.pud[s.order[a]], s.pud[s.order[b]]
+	pa, pb := s.pud[s.order[a].SchedSlot], s.pud[s.order[b].SchedSlot]
 	//rtlint:ignore floatcmp tie-break gate: both PUDs come from the same pudOf pass, so equal inputs yield bit-equal floats and ties fall through to the deterministic jobLess order
 	if pa != pb {
 		return pa > pb
@@ -349,42 +353,34 @@ func (r *RUA) Select(w sched.World) sched.Decision {
 func (r *RUA) selectFull(w sched.World) sched.Decision {
 	r.ops = 0
 
-	live := r.live[:0]
+	// The candidates are numbered 0..n-1 in world order, so slot i is
+	// live[i]. Numbering is bookkeeping, not algorithm: uncharged.
+	slots := r.slots[:0]
 	for _, j := range w.Jobs {
 		if !j.Done() && j.State != task.Aborting {
-			//rtlint:ignore noalloc reused r.live scratch; growth amortized
-			live = append(live, j)
+			j.SchedSlot = int32(len(slots))
+			//rtlint:ignore noalloc reused r.slots scratch; growth amortized
+			slots = append(slots, j)
 		}
 	}
-	r.live = live
+	r.slots = slots
+	live := slots
 	if len(live) == 0 {
 		return sched.Decision{}
-	}
-	if r.chains == nil {
-		//rtlint:ignore noalloc one-time lazy init; the maps are cleared and reused every pass
-		r.chains = make(map[*task.Job][]*task.Job, len(live))
-		//rtlint:ignore noalloc one-time lazy init; the maps are cleared and reused every pass
-		r.pud = make(map[*task.Job]float64, len(live))
-		//rtlint:ignore noalloc one-time lazy init; the maps are cleared and reused every pass
-		r.excluded = make(map[*task.Job]bool)
 	}
 
 	// Step 1: dependency chains (§3.1). Lock-free RUA has none — each
 	// chain is the job itself (§5); the singleton chains are carved out of
 	// one reused backing array instead of allocated per job.
-	chains := r.chains
-	clear(chains)
+	chains := resize(r.chains, len(live))
+	r.chains = chains
 	cycles := r.cyclesBuf[:0]
 	if r.lockFree {
-		if cap(r.chainBuf) < len(live) {
-			//rtlint:ignore noalloc cap-guarded growth of reused scratch; amortized
-			r.chainBuf = make([]*task.Job, len(live))
-		}
-		buf := r.chainBuf[:len(live)]
+		buf := resize(r.chainBuf, len(live))
+		r.chainBuf = buf
 		for i, j := range live {
 			buf[i] = j
-			//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-			chains[j] = buf[i : i+1 : i+1]
+			chains[i] = buf[i : i+1 : i+1]
 			r.ops++
 		}
 	} else {
@@ -393,14 +389,16 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 		// array, which is fine: chains are immutable once built, and the
 		// arena reaches steady-state capacity after the first passes.
 		arena := r.chainBuf[:0]
-		for _, j := range live {
+		for i, j := range live {
 			start := len(arena)
 			var cycle bool
 			arena, cycle = w.Res.AppendDependencyChain(arena, j)
 			chain := arena[start:len(arena):len(arena)]
 			r.ops += int64(len(chain))
-			//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-			chains[j] = chain
+			chains[i] = chain
+			for _, d := range chain {
+				r.number(d)
+			}
 			if cycle {
 				//rtlint:ignore noalloc reused r.cyclesBuf scratch; growth amortized
 				cycles = append(cycles, chain)
@@ -411,12 +409,13 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	r.cyclesBuf = cycles
 
 	// Step 2: PUDs (§3.2) — utility per unit time of the aggregate
-	// computation (the job plus everything it depends on).
-	pud := r.pud
+	// computation (the job plus everything it depends on). A numbered
+	// holder outside the candidates keeps PUD 0.
+	pud := resize(r.pud, len(r.slots))
+	r.pud = pud
 	clear(pud)
-	for _, j := range live {
-		//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-		pud[j] = r.pudOf(w, chains[j], &r.ops)
+	for i := range live {
+		pud[i] = r.pudOf(w, chains[i], &r.ops)
 	}
 
 	// Step 3: deadlock resolution (§3.3) — only reachable with nested
@@ -424,33 +423,33 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	// whose chains pass through a victim cannot run before the rollback,
 	// so they sit this round out.
 	aborts := r.abortBuf[:0]
-	excluded := r.excluded
+	excluded := resize(r.excluded, len(r.slots))
+	r.excluded = excluded
 	clear(excluded)
 	for _, cyc := range cycles {
 		victim := cyc[0]
 		for _, j := range cyc {
 			r.ops++
+			pj, pv := pud[j.SchedSlot], pud[victim.SchedSlot]
 			//rtlint:ignore floatcmp tie-break gate: PUDs of one pass are bit-comparable, equality falls through to the deterministic jobLess victim choice
-			if pud[j] < pud[victim] || (pud[j] == pud[victim] && jobLess(victim, j)) {
+			if pj < pv || (pj == pv && jobLess(victim, j)) {
 				victim = j
 			}
 		}
-		if !excluded[victim] {
+		if !excluded[victim.SchedSlot] {
 			//rtlint:ignore noalloc reused r.abortBuf scratch; growth amortized
 			aborts = append(aborts, victim)
-			//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-			excluded[victim] = true
+			excluded[victim.SchedSlot] = true
 		}
 	}
 	// A job whose chain passes through an aborting member (its holder's
 	// rollback handler has not finished, so the lock is still held) or a
 	// deadlock victim cannot run before the corresponding departure
 	// event; it sits this round out and is reconsidered then.
-	for _, j := range live {
-		for _, d := range chains[j] {
-			if excluded[d] || d.State == task.Aborting {
-				//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-				excluded[j] = true
+	for i := range live {
+		for _, d := range chains[i] {
+			if excluded[d.SchedSlot] || d.State == task.Aborting {
+				excluded[i] = true
 				break
 			}
 		}
@@ -459,8 +458,8 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	// Step 4: sort by non-increasing PUD (§3.4), ties by job identity for
 	// determinism.
 	order := r.order[:0]
-	for _, j := range live {
-		if !excluded[j] {
+	for i, j := range live {
+		if !excluded[i] {
 			//rtlint:ignore noalloc reused r.order scratch; growth amortized
 			order = append(order, j)
 		}
@@ -477,7 +476,7 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	// neither discard path was ever charged.
 	cur := &r.feas
 	cur.ops = &r.ops
-	cur.reset(len(live))
+	cur.reset(len(r.slots))
 	for _, j := range order {
 		if cur.indexOf(j) >= 0 {
 			// Already inserted as someone's dependent.
@@ -485,7 +484,7 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 		}
 		m := cur.mark()
 		before := r.ops
-		cur.insertChain(chains[j], w.Acc)
+		cur.insertChain(chains[j.SchedSlot], w.Acc)
 		if cur.feasible(w.Now) {
 			// Accepted: history up to here can never be rolled back.
 			cur.journal = cur.journal[:0]
@@ -535,6 +534,31 @@ func (r *RUA) pudOf(w sched.World, chain []*task.Job, ops *int64) float64 {
 		return math.Inf(1)
 	}
 	return total / float64(denom)
+}
+
+// number gives d the next slot unless this pass already numbered it.
+// A lock-based chain can reach a holder outside the candidates (one
+// whose abort handler is still running, say); its SchedSlot is then
+// stale — left by an earlier pass or another instance — and checking it
+// against r.slots before reuse keeps it from aliasing a candidate's
+// scratch.
+func (r *RUA) number(d *task.Job) {
+	if s := int(d.SchedSlot); s >= 0 && s < len(r.slots) && r.slots[s] == d {
+		return
+	}
+	d.SchedSlot = int32(len(r.slots))
+	//rtlint:ignore noalloc reused r.slots scratch; growth amortized
+	r.slots = append(r.slots, d)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Contents are unspecified; callers overwrite or clear.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		//rtlint:ignore noalloc cap-guarded growth of reused scratch; amortized
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func jobLess(a, b *task.Job) bool {

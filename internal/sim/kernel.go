@@ -137,8 +137,7 @@ type kernel struct {
 	dispatchGen int64
 	dispatchSeq int64
 
-	rstates map[*task.Job]*runState
-	rsSlab  []runState  // slab the per-job runStates are carved from
+	rsSlab  []runState  // per-job run states, indexed by Job.EngineSlot
 	scratch []*task.Job // stochastic pick/shuffle scratch (reused)
 
 	// Stepping state: the wheel has no Peek, so NextAt pops the next
@@ -207,17 +206,20 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	// full-width runState slab keeps the per-job path allocation-free.
 	k.events = wheel.New[event](2*arrivals + 8)
 	k.allJobs = make([]*task.Job, 0, arrivals)
-	k.rstates = make(map[*task.Job]*runState, arrivals)
 	k.rsSlab = make([]runState, arrivals)
 	if cfg.Stoch.Active() {
 		// Live jobs never exceed total arrivals, so the scratch sized
 		// here keeps the stochastic path allocation-free too.
 		k.scratch = make([]*task.Job, 0, arrivals)
 	}
+	slot := int32(0)
 	for i, t := range cfg.Tasks {
 		u := t.ComputeTime()
 		for n, at := range traces[i] {
 			j := task.NewJob(t, n, at)
+			j.EngineSlot = slot
+			k.rsSlab[slot].entrySeg = -1
+			slot++
 			if injected[i] != nil && injected[i][n] {
 				j.Injected = true
 			}
@@ -237,23 +239,8 @@ func (k *kernel) pushInternal(cpu int, at rtime.Time) {
 	k.push(event{at: at, kind: evInternal, cpu: int32(cpu), gen: k.internalGen[cpu]})
 }
 
-func (k *kernel) rs(j *task.Job) *runState {
-	st := k.rstates[j]
-	if st == nil {
-		// Carve from the slab init pre-allocated for every arrival; the
-		// batch refill is a safety net that never fires on a normal run.
-		if len(k.rsSlab) == 0 {
-			//rtlint:ignore noalloc batch refill safety net; init pre-sizes the slab for every arrival
-			k.rsSlab = make([]runState, 64)
-		}
-		st = &k.rsSlab[0]
-		k.rsSlab = k.rsSlab[1:]
-		st.entrySeg = -1
-		//rtlint:ignore noalloc map pre-sized in init for every arrival; buckets never grow on a normal run
-		k.rstates[j] = st
-	}
-	return st
-}
+// rs returns j's run state, numbered by init when it created j.
+func (k *kernel) rs(j *task.Job) *runState { return &k.rsSlab[j.EngineSlot] }
 
 // stampEntry records the first arrival at the current access boundary.
 func (k *kernel) stampEntry(j *task.Job, at rtime.Time) {

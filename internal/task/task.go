@@ -314,6 +314,14 @@ type Job struct {
 	Overrun    rtime.Duration
 	OverrunSeg int
 	Injected   bool
+
+	// Slots index per-job state kept in slices instead of maps keyed by
+	// *Job. EngineSlot is set once by the engine that creates the job
+	// (its position in the engine's run-state slab). SchedSlot is
+	// scheduler scratch, rewritten on every pass; it may be stale, so a
+	// scheduler checks it against its own slot table before trusting it.
+	EngineSlot int32
+	SchedSlot  int32
 }
 
 // NewJob returns a fresh job for the j-th invocation of t released at ar.

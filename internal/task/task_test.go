@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rtime"
 	"repro/internal/tuf"
@@ -371,5 +372,13 @@ func TestQuickRemainingInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJobSize: the engine and the scheduler passes walk jobs by pointer
+// on every event, so the struct stays within two 64-byte cache lines.
+func TestJobSize(t *testing.T) {
+	if n := unsafe.Sizeof(Job{}); n > 128 {
+		t.Fatalf("sizeof(Job) = %d bytes, want at most 128", n)
 	}
 }
