@@ -45,8 +45,14 @@ vet:
 # build; deliberate exceptions carry a justified //rtlint:ignore
 # directive. RTLINT_FORMAT selects the output format:
 # `make lint RTLINT_FORMAT=sarif` is what CI archives.
+# The gofmt check lists every unformatted Go file outside testdata
+# (analyzer fixtures keep their own layout) and dot directories; any
+# listed file fails the target.
 RTLINT_FORMAT ?= text
+GOFMT ?= gofmt
 lint: vet
+	@unformatted=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*' | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/rtlint -format $(RTLINT_FORMAT) ./...
 
 bench:

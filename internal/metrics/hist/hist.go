@@ -310,9 +310,9 @@ func (h *Hist) Buckets() []Bucket {
 
 // Summary is the distribution digest reports place next to each mean.
 type Summary struct {
-	N             int64
-	Min, Max, Sum int64
-	Mean          float64
+	N                        int64
+	Min, Max, Sum            int64
+	Mean                     float64
 	P50, P90, P95, P99, P999 int64
 }
 

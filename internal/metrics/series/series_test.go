@@ -99,7 +99,7 @@ func TestAgainstEngine(t *testing.T) {
 	tasks := make([]*task.Task, 4)
 	for i := range tasks {
 		tasks[i] = &task.Task{
-			ID: i, Name: "T", TUF: tuf.MustStep(float64(10 * (i + 1)), 4000),
+			ID: i, Name: "T", TUF: tuf.MustStep(float64(10*(i+1)), 4000),
 			Arrival:  uam.Spec{L: 1, A: 2, W: 8000},
 			Segments: task.InterleavedSegments(600, 2, []int{i % 2, (i + 1) % 2}),
 		}

@@ -174,18 +174,18 @@ func TestWriteHTML(t *testing.T) {
 	out := a.String()
 	for _, want := range []string{
 		"<!DOCTYPE html>",
-		"--series-1:   #2a78d6",        // light palette
-		"--series-1:   #3987e5",        // dark palette is selected, not flipped
-		"theorem 2 bound = 4",          // bound overlay label in the SVG
-		"var(--status-critical)",       // bound line color role
-		"bound held",                   // verdict chip
-		"per-task observed extremes",   // task table
-		"fig9 — retries vs load",       // figure section
-		"<polyline",                    // line chart marks
-		"queue depth and processor",    // series chart
-		"events per window",            // second series chart
-		"uni-lockbased",                // second run section
-		`class="chip c-series-1"`,      // legend chip
+		"--series-1:   #2a78d6",          // light palette
+		"--series-1:   #3987e5",          // dark palette is selected, not flipped
+		"theorem 2 bound = 4",            // bound overlay label in the SVG
+		"var(--status-critical)",         // bound line color role
+		"bound held",                     // verdict chip
+		"per-task observed extremes",     // task table
+		"fig9 — retries vs load",         // figure section
+		"<polyline",                      // line chart marks
+		"queue depth and processor",      // series chart
+		"events per window",              // second series chart
+		"uni-lockbased",                  // second run section
+		`class="chip c-series-1"`,        // legend chip
 		`class="chip c-status-critical"`, // bound legend chip
 	} {
 		if !strings.Contains(out, want) {

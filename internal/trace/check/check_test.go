@@ -103,7 +103,7 @@ func TestCheckTheorem2Violation(t *testing.T) {
 
 func TestCheckTheorem3Violation(t *testing.T) {
 	tasks := testTasks()
-	spans := []span.JobSpan{completedSpan(0, 0, 0, 3600 * rtime.Second)}
+	spans := []span.JobSpan{completedSpan(0, 0, 0, 3600*rtime.Second)}
 	rep, err := check.Check(spans, tasks, check.Config{
 		Theorem3: true, R: testR, S: testS,
 	})
@@ -140,7 +140,7 @@ func TestCheckLockBasedSkipsTheorem2(t *testing.T) {
 func TestCheckUnfinishedJobsSkipTheorem3(t *testing.T) {
 	tasks := testTasks()
 	// An unfinished span with a huge lifetime has no sojourn to check.
-	s := completedSpan(0, 0, 0, 3600 * rtime.Second)
+	s := completedSpan(0, 0, 0, 3600*rtime.Second)
 	s.Outcome = span.Unfinished
 	rep, err := check.Check([]span.JobSpan{s}, tasks, check.Config{
 		Theorem3: true, R: testR, S: testS,

@@ -87,7 +87,7 @@ func WritePerfetto(w io.Writer, events []Event) error {
 		task, seq, cpu int
 		from           rtime.Time
 	}
-	occ := map[int]*openSlice{}     // cpu → open slice
+	occ := map[int]*openSlice{}      // cpu → open slice
 	byJob := map[jobKey]*openSlice{} // job → its open slice
 	closeSlice := func(s *openSlice, to rtime.Time) {
 		delete(occ, s.cpu)
