@@ -38,6 +38,7 @@ func scaleWorld(b *testing.B, n int, lockBased bool) sched.World {
 	jobs := make([]*task.Job, n)
 	for i, tk := range tasks {
 		jobs[i] = task.NewJob(tk, 0, rtime.Time(i))
+		jobs[i].EngineSlot = int32(i)
 	}
 	return sched.World{Now: 0, Jobs: jobs, Res: resource.NewMap(), Acc: 10, LockBased: lockBased}
 }

@@ -519,7 +519,7 @@ func Costs(p Profile) ([]*Table, error) {
 // resource map — the cost experiment measures one scheduling pass, not an
 // execution.
 func CostWorld(n int) (lockBased, lockFree sched.World) {
-	res := resource.NewMap()
+	res := resource.NewSizedMap(n, max(n, 1))
 	w := WorkloadSpec{
 		NumTasks: n, NumObjects: max(n, 1), AccessesPerJob: 1,
 		MeanExec: 300 * rtime.Microsecond, TargetAL: 0.8,
@@ -532,6 +532,9 @@ func CostWorld(n int) (lockBased, lockFree sched.World) {
 	jobs := make([]*task.Job, n)
 	for i, tk := range tasks {
 		jobs[i] = task.NewJob(tk, 0, rtime.Time(i))
+		// Numbered as an engine numbers its jobs: the resource map
+		// indexes lock state by EngineSlot.
+		jobs[i].EngineSlot = int32(i)
 	}
 	// J_0 holds o_0. For i ≥ 1: J_i holds o_i and waits on o_{i-1}.
 	for i := 0; i < n; i++ {

@@ -116,6 +116,7 @@ func TestPropertyShedOnlyDoomed(t *testing.T) {
 			// others are past saving.
 			rel := rtime.Time((seed*31 + int64(i)*97) % int64(tk.CriticalTime()))
 			jobs[i] = task.NewJob(tk, 0, rel)
+			jobs[i].EngineSlot = int32(i)
 		}
 		// Sweep Now across the spread of critical times to hit both
 		// regimes in every world.

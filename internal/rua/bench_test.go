@@ -27,7 +27,6 @@ func benchJobs(n int) [][]*task.Job {
 		c := rtime.Duration(100*n + 1000*(i%37))
 		comp := rtime.Duration(5 + i%16)
 		chains[i] = []*task.Job{mkJob(i, 1+float64(i%5), c, comp, 0)}
-		chains[i][0].SchedSlot = int32(i)
 	}
 	return chains
 }
@@ -38,12 +37,16 @@ func BenchmarkFeasTreePass(b *testing.B) {
 		chains := benchJobs(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var ops int64
-			ft := &feasTree{ops: &ops}
+			jobs := make([]*task.Job, n)
+			for i, ch := range chains {
+				jobs[i] = ch[0]
+			}
+			ft := &feasTree{ops: &ops, snap: snapOf(jobs, acc)}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ft.reset(n)
 				for _, ch := range chains {
-					ft.insertChain(ch, acc)
+					ft.insertChain(ch)
 					if !ft.feasible(0) {
 						b.Fatal("bench world must stay feasible")
 					}

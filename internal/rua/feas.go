@@ -6,9 +6,10 @@ package rua
 // oracle); the scheduler itself runs on this tree.
 //
 // The tree stores the same (job, effC) entries in the same order and
-// additionally captures each job's Remaining at insertion time — constant
-// within one scheduling pass, since jobs only execute between passes.
-// Per-node aggregates over subtrees:
+// additionally captures each job's Remaining at insertion time, read from
+// the pass's snapshot (passSnap) — constant within one scheduling pass,
+// since jobs only execute between passes. Per-node aggregates over
+// subtrees:
 //
 //	cnt      — subtree size (order statistics: indexOf, positional ops)
 //	sum      — Σ rem (prefix sums of execution demand)
@@ -32,6 +33,8 @@ package rua
 //   - feasible charges one op per entry the slice walk would have
 //     visited: all n on success, first-violation-index+1 on failure.
 //   - journaling and rollback are uncharged, as on the slice.
+//   - probe charges exactly what insertChain([j]) followed by feasible
+//     would, without inserting a job that fails.
 //
 // ecfPos descends by effC key, which is valid because the schedule is
 // always globally sorted by effC: plain inserts go to their ECF
@@ -57,7 +60,7 @@ const nilNode = int32(-1)
 type feasNode struct {
 	job  *task.Job
 	effC rtime.Time
-	rem  rtime.Duration // job.Remaining(acc) captured at insert
+	rem  rtime.Duration // the job's snapshotted Remaining, captured at insert
 	prio uint64
 
 	parent, left, right int32
@@ -78,13 +81,34 @@ type feasMut struct {
 	rem    rtime.Duration
 }
 
+// passSnap is one pass's snapshot of every numbered job's remaining
+// demand and absolute critical time, indexed by Job.SchedSlot. Jobs do
+// not execute during a pass, so both are constant within it; taking them
+// once spares the segment walk and the critical-time read at every PUD
+// term, insertion and degradation test.
+type passSnap struct {
+	rem  []rtime.Duration
+	crit []rtime.Time
+}
+
+// take snapshots the jobs numbered by their position in slots.
+func (s *passSnap) take(slots []*task.Job, acc rtime.Duration) {
+	s.rem = resize(s.rem, len(slots))
+	s.crit = resize(s.crit, len(slots))
+	for i, j := range slots {
+		s.rem[i] = j.Remaining(acc)
+		s.crit[i] = j.AbsoluteCriticalTime()
+	}
+}
+
 // feasTree is the incremental tentative schedule. Zero value is unusable;
-// call reset before a pass.
+// call reset and point snap at the pass's snapshot before a pass.
 type feasTree struct {
 	nodes   []feasNode
 	root    int32
 	free    []int32 // recycled node slots
 	pos     []int32 // Job.SchedSlot → node index, nilNode when absent
+	snap    *passSnap
 	ops     *int64
 	journal []feasMut
 	prioCtr uint64
@@ -113,14 +137,18 @@ func (t *feasTree) count() int {
 
 // chargeLog charges ⌈log₂(len+1)⌉ operations — identical to
 // schedule.chargeLog at the same schedule length.
-func (t *feasTree) chargeLog() {
-	n := t.count() + 1
+func (t *feasTree) chargeLog() { *t.ops += logCharge(t.count()) }
+
+// logCharge is the ordered-list primitive's charge on a schedule of n
+// entries.
+func logCharge(n int) int64 {
+	n++
 	c := int64(1)
 	for n > 1 {
 		c++
 		n >>= 1
 	}
-	*t.ops += c
+	return c
 }
 
 func splitmix64(x uint64) uint64 {
@@ -372,16 +400,28 @@ func (t *feasTree) indexOf(j *task.Job) int {
 // schedule, equal to sort.Search's answer on the slice.
 func (t *feasTree) ecfPos(c rtime.Time) int {
 	t.chargeLog()
-	pos := 0
+	pos, _ := t.ecfSplit(c)
+	return pos
+}
+
+// ecfSplit returns ecfPos(c) uncharged, with the total demand of the
+// entries before that position.
+func (t *feasTree) ecfSplit(c rtime.Time) (pos int, before rtime.Duration) {
 	for v := t.root; v != nilNode; {
-		if t.nodes[v].effC <= c {
-			pos += t.leftCnt(v) + 1
-			v = t.nodes[v].right
+		n := &t.nodes[v]
+		if n.effC <= c {
+			pos++
+			before += n.rem
+			if l := n.left; l != nilNode {
+				pos += int(t.nodes[l].cnt)
+				before += t.nodes[l].sum
+			}
+			v = n.right
 		} else {
-			v = t.nodes[v].left
+			v = n.left
 		}
 	}
-	return pos
+	return pos, before
 }
 
 func (t *feasTree) insertAt(pos int, j *task.Job, effC rtime.Time, rem rtime.Duration) {
@@ -414,46 +454,88 @@ func (t *feasTree) effCOf(j *task.Job) rtime.Time {
 // walk would have visited: all n when feasible, the first violator's
 // index + 1 when not.
 func (t *feasTree) feasible(now rtime.Time) bool {
-	if t.root == nilNode {
-		return true
+	if i := t.firstViolation(0, int64(now)); i >= 0 {
+		*t.ops += int64(i) + 1
+		return false
 	}
-	now64 := int64(now)
-	if t.nodes[t.root].minSlack >= now64 {
-		*t.ops += int64(t.nodes[t.root].cnt)
-		return true
-	}
-	// Descend to the first (lowest-index) violating entry. acc is the
-	// global demand prefix before the subtree under examination; a member
-	// with local slack s violates iff s − acc < now.
-	idx := 0
-	acc := int64(0)
-	v := t.root
-	for {
+	*t.ops += int64(t.count())
+	return true
+}
+
+// firstViolation returns the position of the first entry at or after
+// position from that misses its effective critical time when the
+// schedule starts at thr — whose slack effC − demand-prefix is below
+// thr — or −1 when there is none.
+func (t *feasTree) firstViolation(from int, thr int64) int {
+	return t.violationIn(t.root, 0, 0, from, thr)
+}
+
+// violationIn is firstViolation within v's subtree, which starts at
+// position lo after acc of demand. A subtree whose min slack clears thr
+// is skipped whole, so the search follows one root-to-leaf path plus
+// the boundary at from.
+func (t *feasTree) violationIn(v int32, lo int, acc int64, from int, thr int64) int {
+	for v != nilNode {
 		n := &t.nodes[v]
+		if lo+int(n.cnt) <= from || n.minSlack-acc >= thr {
+			return -1
+		}
+		lcnt, lsum := 0, int64(0)
 		if l := n.left; l != nilNode {
-			if t.nodes[l].minSlack-acc < now64 {
-				v = l
-				continue
+			lcnt, lsum = int(t.nodes[l].cnt), int64(t.nodes[l].sum)
+			if lo+lcnt > from {
+				if i := t.violationIn(l, lo, acc, from, thr); i >= 0 {
+					return i
+				}
 			}
-			idx += int(t.nodes[l].cnt)
-			acc += int64(t.nodes[l].sum)
 		}
-		self := acc + int64(n.rem)
-		if int64(n.effC)-self < now64 {
-			break // v itself is the first violation
+		self := lo + lcnt
+		through := acc + lsum + int64(n.rem)
+		if self >= from && int64(n.effC)-through < thr {
+			return self
 		}
-		idx++
-		acc = self
-		v = n.right // the violation must sit in the right subtree
+		v, lo, acc = n.right, self+1, through
 	}
-	*t.ops += int64(idx) + 1
-	return false
+	return -1
+}
+
+// probe is insertChain([j]) followed by feasible(now) for a job j that is
+// neither done, aborting nor in the tree, deciding from the subtree
+// aggregates where the inserted j would first miss: an entry before
+// its ECF position p (slack below now), j itself, or an entry from p on,
+// which runs rem_j later (slack below now + rem_j). It charges exactly
+// what that insertion and walk charge, and inserts j only when the
+// schedule stays feasible, so a rejected job never touches the tree or
+// the journal.
+func (t *feasTree) probe(j *task.Job, now rtime.Time) bool {
+	n := t.count()
+	// insertChain([j]) charges a lookup, an ECF search and an insertion,
+	// each on the n-entry schedule.
+	*t.ops += 3 * logCharge(n)
+	c, rem := t.snap.crit[j.SchedSlot], t.snap.rem[j.SchedSlot]
+	p, before := t.ecfSplit(c)
+	now64 := int64(now)
+	if i := t.firstViolation(0, now64); i >= 0 && i < p {
+		*t.ops += int64(i) + 1
+		return false
+	}
+	if now.Add(before + rem).After(c) {
+		*t.ops += int64(p) + 1
+		return false
+	}
+	if i := t.firstViolation(p, now64+int64(rem)); i >= 0 {
+		*t.ops += int64(i) + 2 // j sits before it
+		return false
+	}
+	*t.ops += int64(n) + 1
+	t.insertRaw(p, j, c, rem)
+	return true
 }
 
 // insertChain is §3.4.1 on the tree — the same algorithm as
-// schedule.insertChain, with rem captured at insertion (acc is the
-// world's per-access overhead, needed for Remaining).
-func (t *feasTree) insertChain(chain []*task.Job, acc rtime.Duration) {
+// schedule.insertChain, with critical times and rem read from the pass's
+// snapshot.
+func (t *feasTree) insertChain(chain []*task.Job) {
 	var prev *task.Job   // successor in dependency order (inserted last iteration)
 	var prevC rtime.Time // prev's effective critical time
 	for i := len(chain) - 1; i >= 0; i-- {
@@ -475,7 +557,7 @@ func (t *feasTree) insertChain(chain []*task.Job, acc rtime.Duration) {
 			prev, prevC = d, t.effCOf(d)
 			continue
 		}
-		effC := d.AbsoluteCriticalTime()
+		effC := t.snap.crit[d.SchedSlot]
 		pos := t.ecfPos(effC)
 		if prev != nil {
 			pi := t.indexOf(prev)
@@ -486,7 +568,7 @@ func (t *feasTree) insertChain(chain []*task.Job, acc rtime.Duration) {
 				effC = prevC
 			}
 		}
-		t.insertAt(pos, d, effC, d.Remaining(acc))
+		t.insertAt(pos, d, effC, t.snap.rem[d.SchedSlot])
 		prev, prevC = d, effC
 	}
 }

@@ -8,6 +8,7 @@ package rua
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rtime"
@@ -29,6 +30,35 @@ func treeEntries(t *feasTree) []entry {
 		v = t.succ(v)
 	}
 	return out
+}
+
+// snapOf snapshots jobs numbered by their index, as a pass numbers its
+// candidates.
+func snapOf(jobs []*task.Job, acc rtime.Duration) *passSnap {
+	for i, j := range jobs {
+		j.SchedSlot = int32(i)
+	}
+	s := &passSnap{}
+	s.take(jobs, acc)
+	return s
+}
+
+// probeOutcome classifies where a singleton insertion first misses,
+// from the slice's state after insertChain([j]) and the charge of its
+// feasibility walk.
+func probeOutcome(s *schedule, j *task.Job, walkOps int64, ok bool) string {
+	if ok {
+		return "feasible"
+	}
+	pj := slices.IndexFunc(s.entries, func(e entry) bool { return e.job == j })
+	switch v := int(walkOps) - 1; {
+	case v < pj:
+		return "miss before j"
+	case v == pj:
+		return "j misses"
+	default:
+		return "miss after j"
+	}
 }
 
 func compareStates(t *testing.T, ctx string, s *schedule, ft *feasTree, opsS, opsT int64) {
@@ -55,8 +85,12 @@ func compareStates(t *testing.T, ctx string, s *schedule, ft *feasTree, opsS, op
 // RUA-shaped workloads: chains of random length over a shared job pool
 // (so removal-and-reinsertion triggers), feasibility tests at randomized
 // times with rollback on failure, exactly like step 5 of selectFull.
+// Singleton chains go through the tree's probe, as selectFull sends
+// them; the random instants leave the tree infeasible before some
+// probes, so the probe may not assume a feasible schedule.
 func TestFeasTreeDifferential(t *testing.T) {
 	const acc = rtime.Duration(10)
+	outcomes := map[string]int{}
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nJobs := 5 + rng.Intn(40)
@@ -67,9 +101,6 @@ func TestFeasTreeDifferential(t *testing.T) {
 			c := rtime.Duration(100 * (1 + rng.Intn(12)))
 			comp := rtime.Duration(5 + rng.Intn(120))
 			jobs[i] = mkJob(i, 1+float64(rng.Intn(5)), c, comp, 0)
-			// The tree finds jobs by slot; distinct slots, as a pass
-			// numbers them, keep the pool's jobs apart.
-			jobs[i].SchedSlot = int32(i)
 		}
 
 		var opsS, opsT int64
@@ -77,6 +108,9 @@ func TestFeasTreeDifferential(t *testing.T) {
 		ft := &feasTree{}
 		ft.reset(nJobs)
 		ft.ops = &opsT
+		// The tree finds jobs by slot; distinct slots, as a pass numbers
+		// them, keep the pool's jobs apart.
+		ft.snap = snapOf(jobs, acc)
 
 		for round := 0; round < 60; round++ {
 			// Random chain over the pool, tail job distinct members.
@@ -103,14 +137,35 @@ func TestFeasTreeDifferential(t *testing.T) {
 				continue
 			}
 
-			ms, mt := s.mark(), ft.mark()
-			s.insertChain(chain)
-			ft.insertChain(chain, acc)
-			compareStates(t, "post-insertChain", s, ft, opsS, opsT)
-
 			// Feasibility from a random instant; compare verdicts and the
 			// per-entry charge (all-n on success, violator+1 on failure).
 			now := rtime.Time(rng.Intn(1500))
+			if clen == 1 {
+				ms := s.mark()
+				s.insertChain(chain)
+				walk := opsS
+				fs := s.feasible(now, acc)
+				outcomes[probeOutcome(s, tail, opsS-walk, fs)]++
+				if fs {
+					s.journal = s.journal[:0]
+				} else {
+					s.rollback(ms)
+				}
+				if ftr := ft.probe(tail, now); ftr != fs {
+					t.Fatalf("seed %d round %d: probe(%v) %v, slice %v", seed, round, now, ftr, fs)
+				}
+				if len(ft.journal) != 0 {
+					t.Fatalf("seed %d round %d: the probe journaled %d edits", seed, round, len(ft.journal))
+				}
+				compareStates(t, "post-probe", s, ft, opsS, opsT)
+				continue
+			}
+
+			ms, mt := s.mark(), ft.mark()
+			s.insertChain(chain)
+			ft.insertChain(chain)
+			compareStates(t, "post-insertChain", s, ft, opsS, opsT)
+
 			fs := s.feasible(now, acc)
 			ftr := ft.feasible(now)
 			if fs != ftr {
@@ -131,6 +186,11 @@ func TestFeasTreeDifferential(t *testing.T) {
 			if ps, pt := s.ecfPos(c), ft.ecfPos(c); ps != pt {
 				t.Fatalf("seed %d round %d: ecfPos(%v) %d != %d", seed, round, c, ps, pt)
 			}
+		}
+	}
+	for _, o := range []string{"feasible", "miss before j", "j misses", "miss after j"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no probe ended %q; outcomes %v", o, outcomes)
 		}
 	}
 }
@@ -237,4 +297,59 @@ func TestSelectTopKMatchesSchedulePrefix(t *testing.T) {
 			t.Fatal("duplicate in TopK")
 		}
 	}
+}
+
+// FuzzProbeMatchesSlice holds the probe to the slice reference on an
+// arbitrary effC-sorted schedule: each byte pair of sched adds an entry
+// (effective critical time, demand) at its ECF position, with effective
+// critical times free to differ from the job's own (as Case-2
+// inheritance makes them). The candidate is a fresh job with critical
+// time crit and demand comp, and the schedule starts at now, so it may
+// be infeasible before the candidate arrives. The probe must return the
+// slice's verdict, charge what insertChain([j]) + feasible charge, and
+// leave the same entries as the slice after its rollback.
+func FuzzProbeMatchesSlice(f *testing.F) {
+	f.Add([]byte{10, 5, 40, 9, 40, 3, 200, 30}, uint16(0), uint16(300), uint8(20))
+	f.Add([]byte{1, 60, 2, 60}, uint16(100), uint16(2000), uint8(1))
+	f.Add([]byte{}, uint16(50), uint16(10), uint8(200))
+	f.Add([]byte{255, 1, 3, 1, 3, 1, 90, 255}, uint16(7), uint16(1024), uint8(64))
+	f.Fuzz(func(t *testing.T, sched []byte, now, crit uint16, comp uint8) {
+		const acc = rtime.Duration(10)
+		sched = sched[:min(len(sched), 128)&^1]
+		n := len(sched) / 2
+		jobs := make([]*task.Job, n+1)
+		for k := 0; k < n; k++ {
+			jobs[k] = mkJob(k, 1, 1000, rtime.Duration(sched[2*k+1])+1, 0)
+		}
+		j := mkJob(n, 1, rtime.Duration(crit)+1, rtime.Duration(comp)+1, 0)
+		jobs[n] = j
+
+		var opsS, opsT int64
+		s := &schedule{ops: &opsS}
+		ft := &feasTree{ops: &opsT, snap: snapOf(jobs, acc)}
+		ft.reset(n + 1)
+		for k := 0; k < n; k++ {
+			effC := rtime.Time(sched[2*k]) * 8
+			p := s.ecfPos(effC)
+			s.insertAt(p, entry{job: jobs[k], effC: effC})
+			ft.insertAt(ft.ecfPos(effC), jobs[k], effC, jobs[k].Remaining(acc))
+		}
+		s.journal, ft.journal = s.journal[:0], ft.journal[:0]
+		compareStates(t, "built", s, ft, opsS, opsT)
+
+		at := rtime.Time(now)
+		m := s.mark()
+		s.insertChain([]*task.Job{j})
+		want := s.feasible(at, acc)
+		if !want {
+			s.rollback(m)
+		}
+		if got := ft.probe(j, at); got != want {
+			t.Fatalf("probe(%v) = %v, slice %v", at, got, want)
+		}
+		if len(ft.journal) != 0 {
+			t.Fatalf("the probe journaled %d edits", len(ft.journal))
+		}
+		compareStates(t, "probed", s, ft, opsS, opsT)
+	})
 }

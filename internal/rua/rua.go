@@ -48,6 +48,7 @@ type RUA struct {
 	chains    [][]*task.Job
 	pud       []float64
 	excluded  []bool
+	snap      passSnap
 	feas      feasTree
 	sorter    pudSorter
 	cyclesBuf [][]*task.Job
@@ -408,6 +409,11 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	}
 	r.cyclesBuf = cycles
 
+	// Every job the pass reads is numbered now, lock holders included:
+	// snapshot their remaining demand and critical times (uncharged
+	// bookkeeping, like the numbering).
+	r.snap.take(r.slots, w.Acc)
+
 	// Step 2: PUDs (§3.2) — utility per unit time of the aggregate
 	// computation (the job plus everything it depends on). A numbered
 	// holder outside the candidates keeps PUD 0.
@@ -469,41 +475,53 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	sort.Sort(&r.sorter)
 
 	// Step 5: examine in PUD order, insert job+dependents in ECF order,
-	// keep the tentative schedule only if feasible (§3.4, §3.4.1). An
-	// infeasible tentative is rolled back through the journal instead of
-	// being thrown away with a pre-insertion clone; the charged operations
-	// are identical because construction costs the same either way and
-	// neither discard path was ever charged.
+	// keep the tentative schedule only if feasible (§3.4, §3.4.1). A job
+	// whose chain is itself (every lock-free chain) is probed: the tree
+	// computes the verdict and charge without inserting a job that
+	// fails. A longer chain is inserted, tested, and rolled back through
+	// the journal when infeasible. The charged operations are identical
+	// either way: construction costs the same, and no discard path was
+	// ever charged.
 	cur := &r.feas
 	cur.ops = &r.ops
+	cur.snap = &r.snap
 	cur.reset(len(r.slots))
 	for _, j := range order {
 		if cur.indexOf(j) >= 0 {
 			// Already inserted as someone's dependent.
 			continue
 		}
-		m := cur.mark()
 		before := r.ops
-		cur.insertChain(chains[j.SchedSlot], w.Acc)
-		if cur.feasible(w.Now) {
-			// Accepted: history up to here can never be rolled back.
-			cur.journal = cur.journal[:0]
-			r.emitFeas(w.Now, trace.FeasOK, j, r.ops-before)
+		var ok bool
+		if chain := chains[j.SchedSlot]; len(chain) == 1 {
+			ok = cur.probe(j, w.Now)
 		} else {
-			cur.rollback(m)
-			r.emitFeas(w.Now, trace.FeasFail, j, r.ops-before)
-			if r.degrade {
-				// Admission control: a job that cannot meet its critical
-				// time even running alone from now on is doomed — shed it
-				// now rather than letting it thrash subsequent passes. The
-				// laxity comparison is one charged operation.
-				r.ops++
-				if w.Now.Add(j.Remaining(w.Acc)).After(j.AbsoluteCriticalTime()) {
-					//rtlint:ignore noalloc reused r.abortBuf scratch; growth amortized
-					aborts = append(aborts, j)
-					if r.observer != nil {
-						r.observer(trace.Event{At: w.Now, Kind: trace.Shed, Task: j.Task.ID, Seq: j.Seq, Object: -1})
-					}
+			m := cur.mark()
+			cur.insertChain(chain)
+			ok = cur.feasible(w.Now)
+			if ok {
+				// Accepted: history up to here can never be rolled back.
+				cur.journal = cur.journal[:0]
+			} else {
+				cur.rollback(m)
+			}
+		}
+		if ok {
+			r.emitFeas(w.Now, trace.FeasOK, j, r.ops-before)
+			continue
+		}
+		r.emitFeas(w.Now, trace.FeasFail, j, r.ops-before)
+		if r.degrade {
+			// Admission control: a job that cannot meet its critical
+			// time even running alone from now on is doomed — shed it
+			// now rather than letting it thrash subsequent passes. The
+			// laxity comparison is one charged operation.
+			r.ops++
+			if s := j.SchedSlot; w.Now.Add(r.snap.rem[s]).After(r.snap.crit[s]) {
+				//rtlint:ignore noalloc reused r.abortBuf scratch; growth amortized
+				aborts = append(aborts, j)
+				if r.observer != nil {
+					r.observer(trace.Event{At: w.Now, Kind: trace.Shed, Task: j.Task.ID, Seq: j.Seq, Object: -1})
 				}
 			}
 		}
@@ -525,7 +543,7 @@ func (r *RUA) pudOf(w sched.World, chain []*task.Job, ops *int64) float64 {
 		if k.Done() || k.State == task.Aborting {
 			continue
 		}
-		t = t.Add(k.Remaining(w.Acc))
+		t = t.Add(r.snap.rem[k.SchedSlot])
 		total += k.Task.TUF.Utility(t.Sub(k.Arrival))
 	}
 	denom := t.Sub(w.Now)

@@ -11,6 +11,8 @@ import (
 	"repro/internal/uam"
 )
 
+// mkJob returns task id's first job, numbered id as an engine would
+// number it (the resource map indexes lock state by EngineSlot).
 func mkJob(id int, u float64, c rtime.Duration, comp rtime.Duration, ar rtime.Time) *task.Job {
 	t := &task.Task{
 		ID:       id,
@@ -18,7 +20,9 @@ func mkJob(id int, u float64, c rtime.Duration, comp rtime.Duration, ar rtime.Ti
 		Arrival:  uam.Spec{L: 0, A: 2, W: 10 * c},
 		Segments: task.InterleavedSegments(comp, 0, nil),
 	}
-	return task.NewJob(t, 0, ar)
+	j := task.NewJob(t, 0, ar)
+	j.EngineSlot = int32(id)
+	return j
 }
 
 func mkSharingJob(id int, u float64, c rtime.Duration, comp rtime.Duration, obj int) *task.Job {
@@ -28,7 +32,9 @@ func mkSharingJob(id int, u float64, c rtime.Duration, comp rtime.Duration, obj 
 		Arrival:  uam.Spec{L: 0, A: 2, W: 10 * c},
 		Segments: task.InterleavedSegments(comp, 1, []int{obj}),
 	}
-	return task.NewJob(t, 0, 0)
+	j := task.NewJob(t, 0, 0)
+	j.EngineSlot = int32(id)
+	return j
 }
 
 func world(now rtime.Time, res *resource.Map, lockBased bool, jobs ...*task.Job) sched.World {
@@ -100,6 +106,7 @@ func TestNonStepTUFPUD(t *testing.T) {
 	}
 	jl := task.NewJob(lin, 0, 0)
 	jp := task.NewJob(par, 0, 0)
+	jl.EngineSlot, jp.EngineSlot = 0, 1
 	// Estimated completions: whichever runs "first" in PUD terms —
 	// parabolic keeps more utility at t=100 (10·(1−0.01)=9.9) than linear
 	// (10·0.9=9.0), so parabolic has higher PUD. Both feasible → ECF tie

@@ -17,7 +17,9 @@ func uaJob(id int, util float64, c rtime.Duration, exec rtime.Duration) *task.Jo
 		Arrival:  uam.Spec{L: 0, A: 1, W: 2 * c},
 		Segments: task.InterleavedSegments(exec, 0, nil),
 	}
-	return task.NewJob(t, 0, 0)
+	j := task.NewJob(t, 0, 0)
+	j.EngineSlot = int32(id)
+	return j
 }
 
 func TestLBESAUnderloadIsECF(t *testing.T) {

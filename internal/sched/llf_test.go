@@ -33,7 +33,9 @@ func TestLLFPicksLeastLaxity(t *testing.T) {
 func mkJobWithExec(id int, c rtime.Duration, ar rtime.Time, exec rtime.Duration) *task.Job {
 	tk := mkJob(id, c, ar, 0, nil).Task
 	tk.Segments = task.InterleavedSegments(exec, 0, nil)
-	return task.NewJob(tk, 0, ar)
+	j := task.NewJob(tk, 0, ar)
+	j.EngineSlot = int32(id)
+	return j
 }
 
 func TestLLFLaxityEvolves(t *testing.T) {

@@ -23,7 +23,7 @@ import (
 // World is the scheduler's view of the system at a scheduling event.
 type World struct {
 	Now       rtime.Time
-	Jobs      []*task.Job   // live jobs in deterministic (taskID, seq) order
+	Jobs      []*task.Job   // live jobs in arrival order; equal instants keep push order
 	Res       *resource.Map // lock/commit state
 	Acc       rtime.Duration
 	LockBased bool

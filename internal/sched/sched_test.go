@@ -17,7 +17,9 @@ func mkJob(id int, c rtime.Duration, ar rtime.Time, m int, objs []int) *task.Job
 		Arrival:  uam.Spec{L: 0, A: 1, W: 2 * c},
 		Segments: task.InterleavedSegments(100, m, objs),
 	}
-	return task.NewJob(t, 0, ar)
+	j := task.NewJob(t, 0, ar)
+	j.EngineSlot = int32(id) // numbered like an engine's job: lock state is slot-indexed
+	return j
 }
 
 func TestEDFPicksEarliestCriticalTime(t *testing.T) {

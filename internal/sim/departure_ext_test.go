@@ -16,18 +16,23 @@ import (
 
 // departedGuard wraps RUA and counts every scheduler pass that is handed
 // a job which has already left the system (completed, or aborted with
-// its abort handler finished).
+// its abort handler finished), and every pass whose live set is not in
+// arrival order — the order RUA's ECF ties and EDF's scan read.
 type departedGuard struct {
-	inner    *rua.RUA
-	passes   int
-	departed int
+	inner     *rua.RUA
+	passes    int
+	departed  int
+	unordered int
 }
 
 func (g *departedGuard) check(w sched.World) {
 	g.passes++
-	for _, j := range w.Jobs {
+	for i, j := range w.Jobs {
 		if j.Done() {
 			g.departed++
+		}
+		if i > 0 && j.Arrival < w.Jobs[i-1].Arrival {
+			g.unordered++
 		}
 	}
 }
@@ -63,7 +68,8 @@ func overloadedSet(n int, execRaw uint16, abortCost rtime.Duration) []*task.Task
 }
 
 // TestQuickPassesSeeNoDepartedJobs: on every engine, no scheduler pass
-// of an overloaded run is handed a job that has already departed.
+// of an overloaded run is handed a job that has already departed, and
+// every pass sees its live jobs in nondecreasing arrival order.
 func TestQuickPassesSeeNoDepartedJobs(t *testing.T) {
 	var aborts int64
 	f := func(nRaw, modeRaw, cpuRaw uint8, execRaw uint16, seed int64) bool {
@@ -88,6 +94,11 @@ func TestQuickPassesSeeNoDepartedJobs(t *testing.T) {
 			if g.departed > 0 {
 				t.Logf("%s (%v, n=%d, cpus=%d, seed=%d): %d departed jobs over %d passes",
 					engine, mode, n, cpus, seed, g.departed, g.passes)
+				ok = false
+			}
+			if g.unordered > 0 {
+				t.Logf("%s (%v, n=%d, cpus=%d, seed=%d): %d live-set pairs out of arrival order over %d passes",
+					engine, mode, n, cpus, seed, g.unordered, g.passes)
 				ok = false
 			}
 		}

@@ -161,7 +161,6 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	if global {
 		k.unbound = -1
 	}
-	k.res = resource.NewMap()
 	k.running = make([]*task.Job, cpus)
 	k.runPos = make([]rtime.Time, cpus)
 	k.internalGen = make([]int64, cpus)
@@ -199,6 +198,18 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		traces[i], injected[i] = cfg.Fault.PerturbArrivals(t.ID, traces[i], cfg.Horizon)
 		arrivals += len(traces[i])
 	}
+	// The resource map's tables are indexed by object id and by
+	// EngineSlot, so both are sized here once; lock records stay
+	// unallocated until the run first takes a lock.
+	objects := 0
+	for _, t := range cfg.Tasks {
+		for _, s := range t.Segments {
+			if s.Kind != task.Compute {
+				objects = max(objects, s.Object+1)
+			}
+		}
+	}
+	k.res = resource.NewSizedMap(arrivals, objects)
 	// Each arrival contributes at most an arrival plus a critical-time
 	// event held concurrently; dispatch/internal events are transient.
 	// Pre-sizing the wheel arena and job bookkeeping to the known arrival

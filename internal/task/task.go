@@ -95,15 +95,15 @@ func (t *Task) Validate() error {
 				return fmt.Errorf("%w: task %d segment %d: compute duration %v must be positive", ErrInvalid, t.ID, i, s.D)
 			}
 		case Access:
-			if s.Object < 0 {
-				return fmt.Errorf("%w: task %d segment %d: negative object id", ErrInvalid, t.ID, i)
+			if err := checkObject(t.ID, i, s.Object); err != nil {
+				return err
 			}
 			if len(held) > 0 {
 				return fmt.Errorf("%w: task %d segment %d: Access shorthand inside an explicit Lock section", ErrInvalid, t.ID, i)
 			}
 		case Lock:
-			if s.Object < 0 {
-				return fmt.Errorf("%w: task %d segment %d: negative object id", ErrInvalid, t.ID, i)
+			if err := checkObject(t.ID, i, s.Object); err != nil {
+				return err
 			}
 			if held[s.Object] {
 				return fmt.Errorf("%w: task %d segment %d: Lock(%d) while already held", ErrInvalid, t.ID, i, s.Object)
@@ -123,6 +123,21 @@ func (t *Task) Validate() error {
 	}
 	if t.AbortCost < 0 {
 		return fmt.Errorf("%w: task %d: negative abort cost", ErrInvalid, t.ID)
+	}
+	return nil
+}
+
+// MaxObject is the largest shared-object id a segment may name. The
+// simulator keeps lock and commit state in tables indexed by object id,
+// so ids must be small enough to index one.
+const MaxObject = 1<<20 - 1
+
+func checkObject(id, seg, obj int) error {
+	switch {
+	case obj < 0:
+		return fmt.Errorf("%w: task %d segment %d: negative object id", ErrInvalid, id, seg)
+	case obj > MaxObject:
+		return fmt.Errorf("%w: task %d segment %d: object id %d above %d", ErrInvalid, id, seg, obj, MaxObject)
 	}
 	return nil
 }
@@ -312,7 +327,7 @@ type Job struct {
 	// a real job running past its declared c_i. Injected marks a job
 	// whose release was perturbed (jittered or burst-injected).
 	Overrun    rtime.Duration
-	OverrunSeg int
+	OverrunSeg int32
 	Injected   bool
 
 	// Slots index per-job state kept in slices instead of maps keyed by
@@ -322,21 +337,30 @@ type Job struct {
 	// scheduler checks it against its own slot table before trusting it.
 	EngineSlot int32
 	SchedSlot  int32
+
+	// critAt is Arrival + C_i, stamped by NewJob so the schedulers' hot
+	// paths read a field instead of calling into the TUF.
+	critAt rtime.Time
 }
 
 // NewJob returns a fresh job for the j-th invocation of t released at ar.
+// It stamps the job's absolute critical time, so neither ar nor t's TUF
+// may change afterwards. A task without a TUF (which Validate rejects)
+// gets its release instant as the critical time.
 func NewJob(t *Task, seq int, ar rtime.Time) *Job {
-	return &Job{Task: t, Seq: seq, Arrival: ar, State: Ready}
+	j := &Job{Task: t, Seq: seq, Arrival: ar, State: Ready, critAt: ar}
+	if t.TUF != nil {
+		j.critAt = ar.Add(t.TUF.CriticalTime())
+	}
+	return j
 }
 
 // Name renders J_{i,j}.
 func (j *Job) Name() string { return fmt.Sprintf("J[%d,%d]", j.Task.ID, j.Seq) }
 
 // AbsoluteCriticalTime returns the wall-clock instant of the job's
-// critical time, Arrival + C_i.
-func (j *Job) AbsoluteCriticalTime() rtime.Time {
-	return j.Arrival.Add(j.Task.CriticalTime())
-}
+// critical time, Arrival + C_i, as NewJob stamped it.
+func (j *Job) AbsoluteCriticalTime() rtime.Time { return j.critAt }
 
 // Done reports whether the job has left the system.
 func (j *Job) Done() bool { return j.State == Completed || j.State == Aborted }
@@ -350,7 +374,7 @@ func (j *Job) segLen(acc rtime.Duration) rtime.Duration {
 		return 0
 	default:
 		d := s.D
-		if j.Overrun > 0 && j.SegIdx == j.OverrunSeg {
+		if j.Overrun > 0 && j.SegIdx == int(j.OverrunSeg) {
 			d += j.Overrun
 		}
 		return d
@@ -369,7 +393,7 @@ func (j *Job) SetOverrun(d rtime.Duration) {
 	}
 	for k, s := range j.Task.Segments {
 		if s.Kind == Compute {
-			j.Overrun, j.OverrunSeg = d, k
+			j.Overrun, j.OverrunSeg = d, int32(k)
 			return
 		}
 	}

@@ -67,6 +67,18 @@ func TestValidateBad(t *testing.T) {
 	if err := negObj.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Error("negative object accepted")
 	}
+	for _, kind := range []SegmentKind{Access, Lock} {
+		bigObj := *base
+		bigObj.Segments = []Segment{{Kind: kind, Object: MaxObject + 1}, {Kind: Compute, D: 1}}
+		if err := bigObj.Validate(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("object id above MaxObject accepted in a %d segment", kind)
+		}
+	}
+	maxObj := *base
+	maxObj.Segments = []Segment{{Kind: Compute, D: 1}, {Kind: Access, Object: MaxObject}}
+	if err := maxObj.Validate(); err != nil {
+		t.Errorf("object id MaxObject rejected: %v", err)
+	}
 
 	negAbort := *base
 	negAbort.AbortCost = -1
