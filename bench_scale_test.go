@@ -1,14 +1,16 @@
-// Scale benchmarks: the PR6 additions measured at task-set sizes
-// n ∈ 10²–10⁴ on the clustered scale workload.
+// Scale benchmarks: the RUA pass and the uniprocessor engine measured at
+// task-set sizes n ∈ 10²–10⁴ on the clustered scale workload. The Select
+// rows put all n jobs in one pass; real runs do not (the live set stays
+// near the load), so those rows size a synthetic worst case, where the
+// tentative schedule's O(n) slice operations dominate.
 //
 //	BenchmarkScaleSelect        → one RUA pass over n live jobs (0 allocs/op
 //	                              steady state; warmed scratch)
 //	BenchmarkScaleSelectTopK    → SelectTopKAbort (the global engine's per-event call)
 //	BenchmarkScaleEngineRun     → full uniprocessor event loop, 3 windows
 //
-// The companion before/after pairs live next to the structures they
-// compare: internal/rtime/wheel (BenchmarkWheelChurn vs BenchmarkRefChurn)
-// and internal/rua (BenchmarkFeasTreePass vs BenchmarkFeasSliceRefPass).
+// The timing wheel's before/after pair lives next to it in
+// internal/rtime/wheel (BenchmarkWheelChurn vs BenchmarkRefChurn).
 package repro_test
 
 import (

@@ -39,9 +39,9 @@ type RUA struct {
 
 	// Per-Select scratch, reset (not reallocated) on every pass. A pass
 	// numbers every job it reads: slots[s] is the job whose SchedSlot is
-	// s, and chains, pud, excluded and the feasibility tree's positions
-	// are slices indexed by slot. The pass's candidates take the first
-	// slots; lock holders outside them follow (see number).
+	// s, and chains, pud, excluded and the snapshot are slices indexed by
+	// slot. The pass's candidates take the first slots; lock holders
+	// outside them follow (see number).
 	slots     []*task.Job
 	chainBuf  []*task.Job // chain arena: lock-free singletons / lock-based walks
 	order     []*task.Job
@@ -49,7 +49,7 @@ type RUA struct {
 	pud       []float64
 	excluded  []bool
 	snap      passSnap
-	feas      feasTree
+	sched     schedule
 	sorter    pudSorter
 	cyclesBuf [][]*task.Job
 	abortBuf  []*task.Job
@@ -109,21 +109,38 @@ func (r *RUA) Name() string {
 	return name
 }
 
-// entry is one slot of the (tentative) schedule: a job and its effective
-// critical time, possibly tightened by dependency insertion (§3.4.1).
+// passSnap is one pass's snapshot of every numbered job's remaining
+// demand and absolute critical time, indexed by Job.SchedSlot. Jobs do
+// not execute during a pass, so both are constant within it; taking them
+// once spares the segment walk and the critical-time read at every PUD
+// term, insertion, feasibility step and degradation test.
+type passSnap struct {
+	rem  []rtime.Duration
+	crit []rtime.Time
+}
+
+// take snapshots the jobs numbered by their position in slots.
+func (s *passSnap) take(slots []*task.Job, acc rtime.Duration) {
+	s.rem = resize(s.rem, len(slots))
+	s.crit = resize(s.crit, len(slots))
+	for i, j := range slots {
+		s.rem[i] = j.Remaining(acc)
+		s.crit[i] = j.AbsoluteCriticalTime()
+	}
+}
+
+// entry is one slot of the tentative schedule: a job, its effective
+// critical time, possibly tightened by dependency insertion (§3.4.1),
+// and its remaining demand, read from the pass's snapshot at insertion.
 type entry struct {
 	job  *task.Job
 	effC rtime.Time
+	rem  rtime.Duration
 }
 
-// schedule is an ECF-ordered list with the paper's charged-cost
-// primitives. ops accumulates charged operations.
-//
-// Since the incremental feasibility tree (feas.go) took over the hot
-// path, this slice formulation is retained as the semantic reference:
-// the white-box tests in schedule_test.go pin its behaviour, and the
-// differential test in feas_test.go holds the tree to it — same entry
-// order, same feasibility verdicts, same charged operations.
+// schedule is the tentative schedule of §3.4: an ECF-ordered list with
+// the paper's charged-cost primitives. ops accumulates charged
+// operations; snap is the pass's snapshot, which insertChain reads.
 //
 // Mutations are journaled so a tentative insertion that turns out
 // infeasible can be rolled back in place instead of cloning the whole
@@ -134,6 +151,7 @@ type entry struct {
 type schedule struct {
 	entries []entry
 	ops     *int64
+	snap    *passSnap
 	journal []mutation
 }
 
@@ -144,6 +162,12 @@ type mutation struct {
 	insert bool
 	pos    int
 	old    entry
+}
+
+// reset empties the schedule for a fresh pass, keeping capacity.
+func (s *schedule) reset() {
+	s.entries = s.entries[:0]
+	s.journal = s.journal[:0]
 }
 
 // mark returns a rollback checkpoint.
@@ -157,12 +181,9 @@ func (s *schedule) rollback(m int) {
 	for i := len(s.journal) - 1; i >= m; i-- {
 		mu := s.journal[i]
 		if mu.insert {
-			copy(s.entries[mu.pos:], s.entries[mu.pos+1:])
-			s.entries = s.entries[:len(s.entries)-1]
+			s.removeRaw(mu.pos)
 		} else {
-			s.entries = append(s.entries, entry{})
-			copy(s.entries[mu.pos+1:], s.entries[mu.pos:])
-			s.entries[mu.pos] = mu.old
+			s.insertRaw(mu.pos, mu.old)
 		}
 	}
 	s.journal = s.journal[:m]
@@ -178,12 +199,6 @@ func (s *schedule) chargeLog() {
 		n >>= 1
 	}
 	*s.ops += c
-}
-
-func (s *schedule) clone() *schedule {
-	cp := &schedule{entries: make([]entry, len(s.entries)), ops: s.ops}
-	copy(cp.entries, s.entries)
-	return cp
 }
 
 // indexOf returns the position of j, or -1. Charged as one ordered-list
@@ -202,23 +217,47 @@ func (s *schedule) indexOf(j *task.Job) int {
 // after all entries with effC ≤ c (stable for equal critical times).
 func (s *schedule) ecfPos(c rtime.Time) int {
 	s.chargeLog()
-	return sort.Search(len(s.entries), func(i int) bool {
-		return s.entries[i].effC > c
-	})
+	lo, hi := 0, len(s.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.entries[mid].effC > c {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// insertRaw places e at pos. Uncharged and unjournaled: the one place
+// entries grow, shared by insertAt and rollback.
+func (s *schedule) insertRaw(pos int, e entry) {
+	//rtlint:ignore noalloc reused entries scratch; growth amortized
+	s.entries = append(s.entries, entry{})
+	copy(s.entries[pos+1:], s.entries[pos:])
+	s.entries[pos] = e
+}
+
+// removeRaw deletes and returns the entry at pos. Uncharged and
+// unjournaled.
+func (s *schedule) removeRaw(pos int) entry {
+	e := s.entries[pos]
+	copy(s.entries[pos:], s.entries[pos+1:])
+	s.entries = s.entries[:len(s.entries)-1]
+	return e
 }
 
 func (s *schedule) insertAt(pos int, e entry) {
 	s.chargeLog()
-	s.entries = append(s.entries, entry{})
-	copy(s.entries[pos+1:], s.entries[pos:])
-	s.entries[pos] = e
+	s.insertRaw(pos, e)
+	//rtlint:ignore noalloc reused journal scratch; growth amortized
 	s.journal = append(s.journal, mutation{insert: true, pos: pos})
 }
 
 func (s *schedule) removeAt(pos int) entry {
 	s.chargeLog()
-	e := s.entries[pos]
-	s.entries = append(s.entries[:pos], s.entries[pos+1:]...)
+	e := s.removeRaw(pos)
+	//rtlint:ignore noalloc reused journal scratch; growth amortized
 	s.journal = append(s.journal, mutation{pos: pos, old: e})
 	return e
 }
@@ -228,7 +267,8 @@ func (s *schedule) removeAt(pos int) entry {
 // proceed from tail to head, insert each at its critical-time position,
 // force dependency order by moving/tightening when the ECF order
 // disagrees (Case 2: insert the dependent before its successor and update
-// its critical time to the successor's).
+// its critical time to the successor's). Critical times and demands come
+// from the pass's snapshot.
 func (s *schedule) insertChain(chain []*task.Job) {
 	var prev *task.Job   // successor in dependency order (inserted last iteration)
 	var prevC rtime.Time // prev's effective critical time
@@ -242,18 +282,17 @@ func (s *schedule) insertChain(chain []*task.Job) {
 			// higher-PUD job). Re-establish dependency order: d must also
 			// precede prev (§3.4.1's removal-and-reinsertion case).
 			if prev != nil {
-				pi := s.indexOf(prev)
-				if di > pi {
+				if pi := s.indexOf(prev); di > pi {
 					e := s.removeAt(di)
 					e.effC = prevC
 					s.insertAt(pi, e)
+					di = pi
 				}
 			}
-			e := s.entryOf(d)
-			prev, prevC = d, e.effC
+			prev, prevC = d, s.entries[di].effC
 			continue
 		}
-		effC := d.AbsoluteCriticalTime()
+		effC := s.snap.crit[d.SchedSlot]
 		pos := s.ecfPos(effC)
 		if prev != nil {
 			pi := s.indexOf(prev)
@@ -264,32 +303,41 @@ func (s *schedule) insertChain(chain []*task.Job) {
 				effC = prevC
 			}
 		}
-		s.insertAt(pos, entry{job: d, effC: effC})
+		s.insertAt(pos, entry{job: d, effC: effC, rem: s.snap.rem[d.SchedSlot]})
 		prev, prevC = d, effC
 	}
 }
 
-func (s *schedule) entryOf(j *task.Job) entry {
-	for _, e := range s.entries {
-		if e.job == j {
-			return e
-		}
-	}
-	return entry{}
-}
-
-// feasible checks that executing the schedule in order meets every
-// effective critical time, charging one operation per entry.
-func (s *schedule) feasible(now rtime.Time, acc rtime.Duration) bool {
+// feasible checks that executing the schedule in order from now meets
+// every effective critical time, charging one operation per visited
+// entry.
+func (s *schedule) feasible(now rtime.Time) bool {
 	t := now
 	for _, e := range s.entries {
 		*s.ops++
-		t = t.Add(e.job.Remaining(acc))
+		t = t.Add(e.rem)
 		if t.After(e.effC) {
 			return false
 		}
 	}
 	return true
+}
+
+// first returns the schedule head, or nil when it is empty.
+func (s *schedule) first() *task.Job {
+	if len(s.entries) == 0 {
+		return nil
+	}
+	return s.entries[0].job
+}
+
+// appendFirstK appends the jobs of the first k entries, in order, to dst.
+func (s *schedule) appendFirstK(dst []*task.Job, k int) []*task.Job {
+	for i := 0; i < k && i < len(s.entries); i++ {
+		//rtlint:ignore noalloc appends into the caller's reused buffer; growth amortized
+		dst = append(dst, s.entries[i].job)
+	}
+	return dst
 }
 
 // pudSorter is step 4's non-increasing-PUD order as a persistent
@@ -324,7 +372,7 @@ func (s *pudSorter) Less(a, b int) bool {
 //rtlint:noalloc steady state runs on reused scratch (PR-6 contract)
 func (r *RUA) SelectTopK(w sched.World, k int) ([]*task.Job, int64) {
 	d := r.selectFull(w)
-	r.topkBuf = r.feas.appendFirstK(r.topkBuf[:0], k)
+	r.topkBuf = r.sched.appendFirstK(r.topkBuf[:0], k)
 	return r.topkBuf, d.Ops
 }
 
@@ -336,7 +384,7 @@ func (r *RUA) SelectTopK(w sched.World, k int) ([]*task.Job, int64) {
 //rtlint:noalloc steady state runs on reused scratch (PR-6 contract)
 func (r *RUA) SelectTopKAbort(w sched.World, k int) (ranked, abort []*task.Job, ops int64) {
 	d := r.selectFull(w)
-	r.topkBuf = r.feas.appendFirstK(r.topkBuf[:0], k)
+	r.topkBuf = r.sched.appendFirstK(r.topkBuf[:0], k)
 	return r.topkBuf, d.Abort, d.Ops
 }
 
@@ -475,41 +523,27 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	sort.Sort(&r.sorter)
 
 	// Step 5: examine in PUD order, insert job+dependents in ECF order,
-	// keep the tentative schedule only if feasible (§3.4, §3.4.1). A job
-	// whose chain is itself (every lock-free chain) is probed: the tree
-	// computes the verdict and charge without inserting a job that
-	// fails. A longer chain is inserted, tested, and rolled back through
-	// the journal when infeasible. The charged operations are identical
-	// either way: construction costs the same, and no discard path was
-	// ever charged.
-	cur := &r.feas
+	// keep the tentative schedule only if feasible (§3.4, §3.4.1). An
+	// infeasible insertion is rolled back through the journal, uncharged.
+	cur := &r.sched
 	cur.ops = &r.ops
 	cur.snap = &r.snap
-	cur.reset(len(r.slots))
+	cur.reset()
 	for _, j := range order {
 		if cur.indexOf(j) >= 0 {
 			// Already inserted as someone's dependent.
 			continue
 		}
 		before := r.ops
-		var ok bool
-		if chain := chains[j.SchedSlot]; len(chain) == 1 {
-			ok = cur.probe(j, w.Now)
-		} else {
-			m := cur.mark()
-			cur.insertChain(chain)
-			ok = cur.feasible(w.Now)
-			if ok {
-				// Accepted: history up to here can never be rolled back.
-				cur.journal = cur.journal[:0]
-			} else {
-				cur.rollback(m)
-			}
-		}
-		if ok {
+		m := cur.mark()
+		cur.insertChain(chains[j.SchedSlot])
+		if cur.feasible(w.Now) {
+			// Accepted: history up to here can never be rolled back.
+			cur.journal = cur.journal[:0]
 			r.emitFeas(w.Now, trace.FeasOK, j, r.ops-before)
 			continue
 		}
+		cur.rollback(m)
 		r.emitFeas(w.Now, trace.FeasFail, j, r.ops-before)
 		if r.degrade {
 			// Admission control: a job that cannot meet its critical

@@ -1,6 +1,7 @@
 package rua
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/resource"
@@ -328,5 +329,97 @@ func TestCase1ConsistentOrderNoInheritance(t *testing.T) {
 	d := NewLockBased().Select(world(0, res, true, h, b))
 	if d.Run != h {
 		t.Fatalf("head = %s, want holder", d.Run.Name())
+	}
+}
+
+// TestSelectSteadyStateNoAlloc pins the zero-alloc contract on the full
+// scheduling pass: after warm-up, Select allocates nothing, in both
+// sharing modes.
+func TestSelectSteadyStateNoAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rua  *RUA
+	}{
+		{"lockfree", NewLockFree()},
+		{"lockbased", NewLockBased()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := make([]*task.Job, 32)
+			for i := range jobs {
+				jobs[i] = mkJob(i, float64(1+i%5), rtime.Duration(500+10*i), rtime.Duration(20+i%7), 0)
+			}
+			w := world(0, nil, !tc.rua.lockFree, jobs...)
+			for i := 0; i < 3; i++ {
+				tc.rua.Select(w)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				tc.rua.Select(w)
+			})
+			if allocs != 0 {
+				t.Fatalf("Select steady-state allocs/run = %v, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestSelectTopKMatchesSchedulePrefix checks the TopK path against
+// Select's head and the final schedule's order, on a lock-free world and
+// on a lock-based one whose chain forces a Case-2 reorder (§3.4.1).
+func TestSelectTopKMatchesSchedulePrefix(t *testing.T) {
+	jobs := make([]*task.Job, 12)
+	for i := range jobs {
+		jobs[i] = mkJob(i, float64(1+i), rtime.Duration(300+40*i), 25, 0)
+	}
+	// Holder h's critical time is later than its waiter b's, so b's
+	// chain ⟨h, b⟩ puts h directly before b with b's critical time.
+	res := resource.NewMap()
+	h := mkSharingJob(0, 1, 5000, 60, 0)
+	b := mkSharingJob(1, 50, 400, 60, 0)
+	blockOn(t, res, h, 0)
+	blockOn(t, res, b, 0)
+	f1, f2 := mkJob(2, 5, 800, 50, 0), mkJob(3, 3, 1500, 50, 0)
+
+	for _, tc := range []struct {
+		name string
+		r    *RUA
+		w    sched.World
+		k    int
+	}{
+		{"lockfree", NewLockFree(), world(0, nil, false, jobs...), 4},
+		{"lockbased", NewLockBased(), world(100, res, true, f2, b, f1, h), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.r.Select(tc.w)
+			ranked, ops := tc.r.SelectTopK(tc.w, tc.k)
+			if len(ranked) != tc.k {
+				t.Fatalf("TopK len = %d", len(ranked))
+			}
+			if ranked[0] != d.Run {
+				t.Fatalf("TopK head %s != Select run %s", ranked[0].Name(), d.Run.Name())
+			}
+			if d.Ops != ops {
+				t.Fatalf("ops %d != %d across identical passes", d.Ops, ops)
+			}
+			for i, e := range tc.r.sched.entries[:tc.k] {
+				if ranked[i] != e.job {
+					t.Fatalf("TopK[%d] = %s, schedule entry %d is %s", i, ranked[i].Name(), i, e.job.Name())
+				}
+			}
+			for i := 1; i < len(ranked); i++ {
+				if ranked[i] == ranked[i-1] {
+					t.Fatal("duplicate in TopK")
+				}
+			}
+			if !tc.w.LockBased {
+				return
+			}
+			hi := slices.Index(ranked, h)
+			if hi < 0 || hi+1 >= len(ranked) || ranked[hi+1] != b {
+				t.Fatal("holder not ranked directly before its waiter")
+			}
+			if c := tc.r.sched.entries[hi].effC; c != b.AbsoluteCriticalTime() {
+				t.Fatalf("holder effC = %v, want the waiter's %v (Case 2)", c, b.AbsoluteCriticalTime())
+			}
+		})
 	}
 }

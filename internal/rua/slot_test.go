@@ -152,20 +152,3 @@ func TestStaleSlotOnAbortingHolder(t *testing.T) {
 		t.Fatalf("ranked %d jobs, want the two free candidates", len(refRanked))
 	}
 }
-
-// TestFeasTreeStaleSlot: a job whose slot names another job's node is
-// not in the tree.
-func TestFeasTreeStaleSlot(t *testing.T) {
-	var ops int64
-	ft := &feasTree{ops: &ops}
-	ft.reset(2)
-	in, out := mkJob(0, 1, 1000, 50, 0), mkJob(1, 1, 1000, 50, 0)
-	in.SchedSlot, out.SchedSlot = 1, 1
-	ft.insertAt(0, in, in.AbsoluteCriticalTime(), in.Remaining(10))
-	if ft.indexOf(out) != -1 || ft.effCOf(out) != 0 {
-		t.Fatal("a stale slot found another job's node")
-	}
-	if ft.indexOf(in) != 0 {
-		t.Fatal("the inserted job was not found")
-	}
-}
