@@ -164,6 +164,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzIgnoreDirective$$' -fuzztime $(FUZZTIME) ./internal/lint
 	$(GO) test -run NONE -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz '^FuzzScheduleRollback$$' -fuzztime $(FUZZTIME) ./internal/rua
+	$(GO) test -run NONE -fuzz '^FuzzEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # Serving-mode smoke: boot rtsimd, submit a fault-injected trace spec
 # twice over real HTTP (the second must be an exact cache hit), stream

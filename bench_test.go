@@ -264,14 +264,18 @@ func BenchmarkRUASchedulePass(b *testing.B) {
 		wLB, wLF := experiment.CostWorld(n)
 		b.Run(fmt.Sprintf("lockbased/n=%d", n), func(b *testing.B) {
 			s := rua.NewLockBased()
+			s.Select(wLB) // warm the scratch to steady state
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Select(wLB)
 			}
 		})
 		b.Run(fmt.Sprintf("lockfree/n=%d", n), func(b *testing.B) {
 			s := rua.NewLockFree()
+			s.Select(wLF) // warm the scratch to steady state
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Select(wLF)
 			}

@@ -4,16 +4,13 @@ import "repro/internal/rtime"
 
 // Ref is the retained reference implementation of the event queue: the
 // hand-rolled binary min-heap of (at, push order) the engines used
-// before the timing wheel, kept verbatim so the differential property
-// test can pin the wheel's pop order against it and the scale
-// benchmarks can measure the before/after. Cancellation uses the same
-// tombstone-and-skip scheme as the wheel so the two stay comparable
-// operation for operation.
+// before the timing wheel, kept so the differential property tests can
+// pin the wheel's pop order against it (and the kernel's merged event
+// source against a single queue), and so the scale benchmarks can
+// measure the before/after.
 type Ref[T any] struct {
 	items []refItem[T]
 	seq   int64
-	live  int
-	dead  map[int64]bool
 }
 
 type refItem[T any] struct {
@@ -25,7 +22,7 @@ type refItem[T any] struct {
 // NewRef returns an empty reference heap with capacity for about hint
 // events.
 func NewRef[T any](hint int) *Ref[T] {
-	r := &Ref[T]{dead: map[int64]bool{}}
+	r := &Ref[T]{}
 	if hint > 0 {
 		r.items = make([]refItem[T], 0, hint)
 	}
@@ -33,42 +30,33 @@ func NewRef[T any](hint int) *Ref[T] {
 }
 
 // Len reports the number of queued events.
-func (r *Ref[T]) Len() int { return r.live }
+func (r *Ref[T]) Len() int { return len(r.items) }
 
-// Push schedules v at time at and returns the event's sequence number,
-// usable with Cancel.
-func (r *Ref[T]) Push(at rtime.Time, v T) int64 {
+// Push schedules v at time at.
+func (r *Ref[T]) Push(at rtime.Time, v T) {
 	r.seq++
 	r.push(refItem[T]{at: at, seq: r.seq, val: v})
-	r.live++
-	return r.seq
 }
 
-// Cancel tombstones the event with sequence number seq; it reports false
-// if that event was already canceled.
-func (r *Ref[T]) Cancel(seq int64) bool {
-	if r.dead[seq] {
-		return false
+// Peek returns the earliest event in (at, push order) without removing
+// it, provided its time is at most limit.
+func (r *Ref[T]) Peek(limit rtime.Time) (at rtime.Time, v T, ok bool) {
+	if len(r.items) == 0 || r.items[0].at > limit {
+		var zero T
+		return 0, zero, false
 	}
-	r.dead[seq] = true
-	r.live--
-	return true
+	return r.items[0].at, r.items[0].val, true
 }
 
-// Pop removes and returns the earliest event in (at, push order),
-// skipping tombstones. ok is false when the heap is empty.
+// Pop removes and returns the earliest event in (at, push order). ok is
+// false when the heap is empty.
 func (r *Ref[T]) Pop() (at rtime.Time, v T, ok bool) {
-	var zero T
-	for len(r.items) > 0 {
-		it := r.pop()
-		if r.dead[it.seq] {
-			delete(r.dead, it.seq)
-			continue
-		}
-		r.live--
-		return it.at, it.val, true
+	if len(r.items) == 0 {
+		var zero T
+		return 0, zero, false
 	}
-	return 0, zero, false
+	it := r.pop()
+	return it.at, it.val, true
 }
 
 func (r *Ref[T]) less(i, j int) bool {

@@ -1,19 +1,20 @@
-// Package wheel provides the shared event queue of the simulation
-// engines: a hierarchical timing wheel over absolute virtual time with
-// O(1) amortized schedule and cancel, replacing the per-engine binary
-// min-heaps whose O(log n) sift dominated event churn at n ≥ 10⁴ tasks.
+// Package wheel provides the simulation kernel's timed-event queue: a
+// hierarchical timing wheel over absolute virtual time with O(1)
+// amortized push and pop. The kernel keeps only events that need a
+// priority queue here — critical times and abort-handler completions —
+// and feeds arrivals, processor boundaries and dispatch rounds from
+// cursors and slots of its own (internal/sim).
 //
 // # Ordering contract
 //
-// Pop returns events in exactly the order the engines' former heap did:
-// ascending (at, push order). Two events scheduled for the same tick pop
-// in the order they were pushed, and an event pushed for a time earlier
-// than the last popped time (the engines do this for internal boundary
-// events that are already superseded by a generation bump) pops before
-// every event at or after the current time, ordered among its fellow
-// stragglers by (at, push order). This is the tie-break contract every
-// golden trace and report artifact depends on; the differential test
-// against Ref (the retained reference heap) pins it.
+// Pop returns events in ascending (at, push order): the order of the
+// binary min-heap the wheel replaced. Two events scheduled for the same
+// tick pop in the order they were pushed, and an event pushed for a
+// time earlier than the wheel's current time pops before every event
+// at or after it, ordered among its fellow stragglers by (at, push
+// order). Peek reports the event Pop would return next without removing
+// it. The differential test against Ref (the retained reference heap)
+// pins both.
 //
 // # Layout
 //
@@ -28,12 +29,12 @@
 // lowest occupied level, and either pops the slot head (level 0, where a
 // slot holds exactly one tick) or cascades the slot's chain one level
 // down after advancing cur to the slot's base time. Each event cascades
-// at most 10 times over its lifetime: O(1) amortized.
+// at most 10 times over its lifetime: O(1) amortized. Peek cascades the
+// same way but stops at a slot whose base lies past its limit, so a
+// bounded peek never moves cur beyond the limit.
 //
-// Cancel marks the node dead in place (a tombstone skipped at pop) and
-// releases its payload; it never restructures a slot chain. Nodes are
-// carved from a free-listed arena, so a wheel in steady state allocates
-// nothing per event.
+// Nodes are carved from a free-listed arena, so a wheel in steady state
+// allocates nothing per event.
 package wheel
 
 import (
@@ -51,24 +52,16 @@ const (
 	nilIdx = int32(-1)
 )
 
-// Handle identifies a pushed event for cancellation. A handle is valid
-// until its event is popped; canceling after the pop (or canceling twice)
-// on a wheel that has since reused the node is undefined — callers that
-// cancel must do so only for events they know are still queued, which is
-// how the engines' generation counters already work.
-type Handle int32
-
 type node[T any] struct {
 	at   rtime.Time
 	next int32
-	dead bool
 	val  T
 }
 
 // Wheel is a hierarchical timing wheel holding values of type T keyed by
 // absolute virtual time. The zero value is not ready to use; call New.
 type Wheel[T any] struct {
-	cur  rtime.Time // time of the last wheel (non-straggler) pop
+	cur  rtime.Time // last pop's time or cascaded slot base; slots hold times ≥ cur
 	live int
 
 	nodes []node[T]
@@ -79,9 +72,9 @@ type Wheel[T any] struct {
 	tail     [levels][slotCount]int32
 
 	// due holds stragglers pushed with at < cur, kept sorted by
-	// (at, push order) and drained before any wheel slot. It is almost
-	// always empty: the engines only push a handful of already-superseded
-	// boundary events per scheduling round, at monotone times.
+	// (at, push order) and drained before any wheel slot. The kernel
+	// leaves it empty: it bounds each Peek by its next event's time and
+	// pushes only at or after the time of the event it took.
 	due     []int32
 	dueHead int
 }
@@ -101,14 +94,13 @@ func New[T any](hint int) *Wheel[T] {
 	return w
 }
 
-// Len reports the number of queued (pushed and neither popped nor
-// canceled) events.
+// Len reports the number of queued (pushed, not yet popped) events.
 func (w *Wheel[T]) Len() int { return w.live }
 
-// Push schedules v at time at (at ≥ 0) and returns its handle.
+// Push schedules v at time at (at ≥ 0).
 //
 //rtlint:noalloc steady state reuses freed arena nodes
-func (w *Wheel[T]) Push(at rtime.Time, v T) Handle {
+func (w *Wheel[T]) Push(at rtime.Time, v T) {
 	idx := w.alloc(at, v)
 	if at < w.cur {
 		w.pushDue(idx, at)
@@ -116,23 +108,21 @@ func (w *Wheel[T]) Push(at rtime.Time, v T) Handle {
 		w.place(idx, at)
 	}
 	w.live++
-	return Handle(idx)
 }
 
-// Cancel tombstones the event behind h, releasing its payload in place.
-// It reports false if the event was already canceled.
+// Peek returns the earliest event in (at, push order) without removing
+// it, provided its time is at most limit; ok is false when the wheel
+// holds no such event. Pass rtime.Infinity for an unbounded peek.
 //
-//rtlint:noalloc tombstone write, never restructures
-func (w *Wheel[T]) Cancel(h Handle) bool {
-	n := &w.nodes[h]
-	if n.dead {
-		return false
+//rtlint:noalloc cascades re-place in-place arena nodes
+func (w *Wheel[T]) Peek(limit rtime.Time) (at rtime.Time, v T, ok bool) {
+	idx, found := w.front(limit)
+	if !found {
+		var zero T
+		return 0, zero, false
 	}
-	var zero T
-	n.dead = true
-	n.val = zero
-	w.live--
-	return true
+	n := &w.nodes[idx]
+	return n.at, n.val, true
 }
 
 // Pop removes and returns the earliest event in (at, push order). ok is
@@ -140,22 +130,34 @@ func (w *Wheel[T]) Cancel(h Handle) bool {
 //
 //rtlint:noalloc cascades re-place in-place arena nodes
 func (w *Wheel[T]) Pop() (at rtime.Time, v T, ok bool) {
-	var zero T
-	for {
-		idx, found := w.popIdx()
-		if !found {
-			return 0, zero, false
-		}
-		n := &w.nodes[idx]
-		at, v = n.at, n.val
-		dead := n.dead
-		w.freeNode(idx)
-		if dead {
-			continue
-		}
-		w.live--
-		return at, v, true
+	idx, found := w.front(rtime.Infinity)
+	if !found {
+		var zero T
+		return 0, zero, false
 	}
+	if w.dueHead < len(w.due) {
+		w.dueHead++
+		if w.dueHead == len(w.due) {
+			w.due = w.due[:0]
+			w.dueHead = 0
+		}
+	} else {
+		// front left the event heading the lowest level-0 slot, which
+		// holds exactly one absolute tick in push order.
+		s := uint(bits.TrailingZeros64(w.occupied[0]))
+		nxt := w.nodes[idx].next
+		w.head[0][s] = nxt
+		if nxt == nilIdx {
+			w.tail[0][s] = nilIdx
+			w.occupied[0] &^= 1 << s
+		}
+		w.cur = w.nodes[idx].at
+	}
+	n := &w.nodes[idx]
+	at, v = n.at, n.val
+	w.freeNode(idx)
+	w.live--
+	return at, v, true
 }
 
 func (w *Wheel[T]) alloc(at rtime.Time, v T) int32 {
@@ -169,7 +171,7 @@ func (w *Wheel[T]) alloc(at rtime.Time, v T) int32 {
 		idx = int32(len(w.nodes) - 1)
 	}
 	n := &w.nodes[idx]
-	n.at, n.val, n.dead, n.next = at, v, false, nilIdx
+	n.at, n.val, n.next = at, v, nilIdx
 	return idx
 }
 
@@ -222,17 +224,14 @@ func (w *Wheel[T]) pushDue(idx int32, at rtime.Time) {
 	w.due[i] = idx
 }
 
-// popIdx removes and returns the next node index in pop order:
-// stragglers first (all earlier than cur), then the wheel minimum.
-func (w *Wheel[T]) popIdx() (int32, bool) {
+// front returns the node index of the earliest event if its time is at
+// most limit: stragglers first (all earlier than cur), then the wheel
+// minimum, cascaded down to head a level-0 slot. It cascades no slot
+// whose base time lies past limit, so cur never passes limit.
+func (w *Wheel[T]) front(limit rtime.Time) (int32, bool) {
 	if w.dueHead < len(w.due) {
 		idx := w.due[w.dueHead]
-		w.dueHead++
-		if w.dueHead == len(w.due) {
-			w.due = w.due[:0]
-			w.dueHead = 0
-		}
-		return idx, true
+		return idx, w.nodes[idx].at <= limit
 	}
 	for {
 		l := -1
@@ -247,30 +246,24 @@ func (w *Wheel[T]) popIdx() (int32, bool) {
 		}
 		s := uint(bits.TrailingZeros64(w.occupied[l]))
 		if l == 0 {
-			// A level-0 slot holds exactly one absolute tick, in push
-			// order.
 			idx := w.head[0][s]
-			nxt := w.nodes[idx].next
-			w.head[0][s] = nxt
-			if nxt == nilIdx {
-				w.tail[0][s] = nilIdx
-				w.occupied[0] &^= 1 << s
-			}
-			w.cur = w.nodes[idx].at
-			return idx, true
+			return idx, w.nodes[idx].at <= limit
 		}
 		// Cascade: advance cur to the slot's base time (its events share
 		// all bits ≥ 6l with that base) and re-place the chain in order.
 		// Lower levels are empty here, so re-placed events cannot
 		// interleave with older ones, and chain order is preserved within
 		// every target slot — the tie-break contract survives cascading.
+		shift := uint(l+1) * slotBits
+		base := rtime.Time(uint64(w.cur)&^(1<<shift-1) | uint64(s)<<(uint(l)*slotBits))
+		if base > limit {
+			return nilIdx, false
+		}
 		idx := w.head[l][s]
 		w.head[l][s] = nilIdx
 		w.tail[l][s] = nilIdx
 		w.occupied[l] &^= 1 << s
-		shift := uint(l+1) * slotBits
-		base := uint64(w.cur)&^(1<<shift-1) | uint64(s)<<(uint(l)*slotBits)
-		w.cur = rtime.Time(base)
+		w.cur = base
 		for idx != nilIdx {
 			nxt := w.nodes[idx].next
 			w.place(idx, w.nodes[idx].at)

@@ -102,45 +102,17 @@ func TestStragglers(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	w := New[int](0)
-	h1 := w.Push(10, 1)
-	w.Push(10, 2)
-	h3 := w.Push(20, 3)
-	if !w.Cancel(h1) {
-		t.Fatal("first cancel refused")
-	}
-	if w.Cancel(h1) {
-		t.Fatal("double cancel accepted")
-	}
-	if !w.Cancel(h3) {
-		t.Fatal("cancel h3 refused")
-	}
-	if w.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", w.Len())
-	}
-	ats, vals := drain(t, w)
-	if len(ats) != 1 || ats[0] != 10 || vals[0] != 2 {
-		t.Fatalf("drain = %v %v", ats, vals)
-	}
-}
-
 // TestDifferentialVsRef is the wheel's correctness anchor: on randomized
 // seeded event streams — bursts of same-tick ties, straggler pushes
-// behind the popped front, and cancellations — the wheel and the
-// retained reference heap must produce identical pop sequences, value
-// for value. Run under -race in CI (no shared state; the race detector
-// still exercises the generic code paths).
+// behind the popped front, and bounded peeks between them — the wheel
+// and the retained reference heap must produce identical peek and pop
+// sequences, value for value. Run under -race in CI (no shared state;
+// the race detector still exercises the generic code paths).
 func TestDifferentialVsRef(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		w := New[int](0)
 		r := NewRef[int](0)
-		type handles struct {
-			wh Handle
-			rh int64
-		}
-		var open []handles // pushed, not yet canceled (may have been popped)
 		nextVal := 0
 		maxAt := rtime.Time(0)
 		lastPop := rtime.Time(-1)
@@ -163,7 +135,8 @@ func TestDifferentialVsRef(t *testing.T) {
 				if at > maxAt {
 					maxAt = at
 				}
-				open = append(open, handles{w.Push(at, nextVal), r.Push(at, nextVal)})
+				w.Push(at, nextVal)
+				r.Push(at, nextVal)
 				nextVal++
 			case p < 8: // pop
 				wa, wv, wok := w.Pop()
@@ -176,31 +149,16 @@ func TestDifferentialVsRef(t *testing.T) {
 					pops++
 					lastPop = wa
 				}
-			default: // cancel a random open handle
-				if len(open) == 0 {
-					continue
+			default: // peek, bounded somewhere around the popped front
+				limit := lastPop + rtime.Time(rng.Intn(2000)) - 100
+				if rng.Intn(4) == 0 {
+					limit = rtime.Infinity
 				}
-				i := rng.Intn(len(open))
-				h := open[i]
-				open = append(open[:i], open[i+1:]...)
-				// Both sides tolerate canceling an already-popped event the
-				// same way only while the node has not been reused, so only
-				// cancel handles that are still queued: the ref heap knows.
-				if r.dead[h.rh] {
-					continue
-				}
-				stillQueued := false
-				for _, it := range r.items {
-					if it.seq == h.rh {
-						stillQueued = true
-						break
-					}
-				}
-				if !stillQueued {
-					continue
-				}
-				if w.Cancel(h.wh) != r.Cancel(h.rh) {
-					t.Fatalf("seed %d op %d: cancel disagreement", seed, op)
+				wa, wv, wok := w.Peek(limit)
+				ra, rv, rok := r.Peek(limit)
+				if wok != rok || wa != ra || wv != rv {
+					t.Fatalf("seed %d op %d: wheel peek(%v) (%v,%d,%v) != ref peek (%v,%d,%v)",
+						seed, op, limit, wa, wv, wok, ra, rv, rok)
 				}
 			}
 			if w.Len() != r.Len() {
@@ -222,6 +180,36 @@ func TestDifferentialVsRef(t *testing.T) {
 		if pops == 0 {
 			t.Fatalf("seed %d: degenerate run, no pops", seed)
 		}
+	}
+}
+
+// TestPeekLimit pins the bounded peek: it reports the head only when the
+// head's time is at most the limit, and it never removes anything.
+func TestPeekLimit(t *testing.T) {
+	w := New[int](0)
+	w.Push(5000, 1)
+	w.Push(5000, 2)
+	w.Push(70, 3)
+	if _, _, ok := w.Peek(69); ok {
+		t.Fatal("peek below the head reported an event")
+	}
+	if at, v, ok := w.Peek(70); !ok || at != 70 || v != 3 {
+		t.Fatalf("peek(70) = (%v, %d, %v)", at, v, ok)
+	}
+	w.Pop()
+	if _, _, ok := w.Peek(4999); ok {
+		t.Fatal("peek below the remaining head reported an event")
+	}
+	w.Push(100, 4) // at or after the limit peeked, so not a straggler
+	if at, v, ok := w.Peek(rtime.Infinity); !ok || at != 100 || v != 4 {
+		t.Fatalf("unbounded peek = (%v, %d, %v)", at, v, ok)
+	}
+	if w.Len() != 3 {
+		t.Fatalf("Len = %d after peeks, want 3", w.Len())
+	}
+	_, vals := drain(t, w)
+	if want := []int{4, 1, 2}; len(vals) != 3 || vals[0] != want[0] || vals[1] != want[1] || vals[2] != want[2] {
+		t.Fatalf("drain = %v, want %v", vals, want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/resource"
 	"repro/internal/rtime"
-	"repro/internal/rtime/wheel"
 	"repro/internal/sched"
 	"repro/internal/task"
 	"repro/internal/trace"
@@ -14,14 +13,15 @@ import (
 )
 
 // The kernel is the mechanism both engines share: arrival setup, the
-// generation-guarded event loop and its stepping API, job execution
-// between boundaries (lock traffic, lock-free commits, phantom-CAS
-// retries, completions), and scheduler-pass accounting. The engines
-// (Engine in sim.go, GlobalEngine in global.go) embed it and add only
-// their dispatch policy: which jobs a pass puts on which processor, how
-// aborts run, and when a preempted lock-free access retries. The kernel
-// is a concrete struct so every per-event call is static — the engines'
-// zero-allocation steady state stays provable by rtlint's noalloc.
+// event loop over its merged event source (queue.go) and its stepping
+// API, job execution between boundaries (lock traffic, lock-free
+// commits, phantom-CAS retries, completions), and scheduler-pass
+// accounting. The engines (Engine in sim.go, GlobalEngine in global.go)
+// embed it and add only their dispatch policy: which jobs a pass puts
+// on which processor, how aborts run, and when a preempted lock-free
+// access retries. The kernel is a concrete struct so every per-event
+// call is static — the engines' zero-allocation steady state stays
+// provable by rtlint's noalloc.
 
 // AccessCost returns the per-access cost in force under the mode: r for
 // lock-based, s for lock-free (§5).
@@ -81,16 +81,15 @@ const (
 	evPreempt // stochastic forced preemption at quantum expiry
 )
 
-// event is one scheduled occurrence. Ordering — ascending (at, push
-// order) — is the timing wheel's contract (see internal/rtime/wheel).
-// Internal events are guarded by their CPU's generation, dispatch and
-// preempt events by the dispatch round's: a superseded one is skipped.
-// The narrow cpu and kind fields keep the struct at 32 bytes, the
-// size of every slot in the pre-sized wheel arena.
+// event is one scheduled occurrence, ordered by ascending (at, seq);
+// seq is the push sequence the event queue stamps on run-time events
+// (arrivals carry 0 and order by release). The narrow cpu and kind
+// fields keep the struct at 32 bytes, the size of every node in the
+// timing wheel's arena.
 type event struct {
 	at   rtime.Time
 	job  *task.Job
-	gen  int64
+	seq  int64
 	cpu  int32
 	kind evKind
 }
@@ -108,8 +107,8 @@ type runState struct {
 }
 
 // kernel is the engine state and mechanism shared by both dispatch
-// policies. running, runPos and internalGen are indexed by CPU; the
-// uniprocessor engine has exactly one.
+// policies. running and runPos are indexed by CPU; the uniprocessor
+// engine has exactly one.
 type kernel struct {
 	cfg Config
 	acc rtime.Duration
@@ -123,27 +122,20 @@ type kernel struct {
 	// emits Preempt at stop time, and access latency is not stamped.
 	global bool
 
-	now     rtime.Time
-	events  *wheel.Wheel[event]
-	res     *resource.Map
-	live    []*task.Job
-	allJobs []*task.Job
+	now  rtime.Time
+	q    eventQueue
+	res  *resource.Map
+	live []*task.Job
 
-	running     []*task.Job
-	runPos      []rtime.Time
-	internalGen []int64
+	running []*task.Job
+	runPos  []rtime.Time
 
 	busyUntil   rtime.Time
-	dispatchGen int64
 	dispatchSeq int64
 
 	rsSlab  []runState  // per-job run states, indexed by Job.EngineSlot
 	scratch []*task.Job // stochastic pick/shuffle scratch (reused)
 
-	// Stepping state: the wheel has no Peek, so NextAt pops the next
-	// event into a one-slot stash that StepNext consumes.
-	stash    event
-	stashed  bool
 	finished bool
 
 	res1 Result
@@ -163,7 +155,6 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	}
 	k.running = make([]*task.Job, cpus)
 	k.runPos = make([]rtime.Time, cpus)
-	k.internalGen = make([]int64, cpus)
 	if so, ok := s.(interface{ SetObserver(func(trace.Event)) }); ok {
 		// Scheduler-emitted events (RUA feasibility tests) are unbound,
 		// like SchedPass. Clearing a nil observer keeps reused scheduler
@@ -210,44 +201,88 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		}
 	}
 	k.res = resource.NewSizedMap(arrivals, objects)
-	// Each arrival contributes at most an arrival plus a critical-time
-	// event held concurrently; dispatch/internal events are transient.
-	// Pre-sizing the wheel arena and job bookkeeping to the known arrival
-	// count avoids repeated growth copies over long horizons, and the
-	// full-width runState slab keeps the per-job path allocation-free.
-	k.events = wheel.New[event](2*arrivals + 8)
-	k.allJobs = make([]*task.Job, 0, arrivals)
-	k.rsSlab = make([]runState, arrivals)
 	if cfg.Stoch.Active() {
 		// Live jobs never exceed total arrivals, so the scratch sized
 		// here keeps the stochastic path allocation-free too.
 		k.scratch = make([]*task.Job, 0, arrivals)
 	}
-	slot := int32(0)
+	// Jobs live in one slab in release order and are numbered
+	// (EngineSlot) by their place in it, so the jobs and run states the
+	// loop touches together sit together. The full-width runState slab
+	// keeps the per-job path allocation-free.
+	k.rsSlab = make([]runState, arrivals)
+	slab := make([]task.Job, arrivals)
+	jobs := make([]*task.Job, arrivals)
+	sfx := task.NewSuffixes(cfg.Tasks)
+	us := make([]rtime.Duration, len(cfg.Tasks))
 	for i, t := range cfg.Tasks {
-		u := t.ComputeTime()
-		for n, at := range traces[i] {
-			j := task.NewJob(t, n, at)
-			j.EngineSlot = slot
-			k.rsSlab[slot].entrySeg = -1
-			slot++
-			if injected[i] != nil && injected[i][n] {
-				j.Injected = true
-			}
-			j.SetOverrun(cfg.Fault.Overrun(t.ID, n, u))
-			k.push(event{at: at, kind: evArrival, job: j})
-		}
+		us[i] = t.ComputeTime()
 	}
+	for r, x := range releaseOrder(traces, arrivals) {
+		i, n := int(x.task), int(x.seq)
+		j := &slab[r]
+		sfx[i].Init(j, n, x.at)
+		j.EngineSlot = int32(r)
+		k.rsSlab[r].entrySeg = -1
+		if injected[i] != nil && injected[i][n] {
+			j.Injected = true
+		}
+		j.SetOverrun(cfg.Fault.Overrun(cfg.Tasks[i].ID, n, us[i]))
+		jobs[r] = j
+	}
+	// The timing wheel holds a job's critical time from its release
+	// until that time passes. Critical times never exceed the UAM window
+	// (C ≤ W, checked by Validate), so a task has about a of them
+	// pending at most; injected bursts or explicit traces past that
+	// grow the arena. Abort completions are few and transient.
+	pending := 8
+	for i, t := range cfg.Tasks {
+		pending += min(t.Arrival.A+1, len(traces[i]))
+	}
+	k.q.init(jobs, cpus, pending)
 	return nil
 }
 
-func (k *kernel) push(ev event) {
-	k.events.Push(ev.at, ev)
+// release is one job to create: the seq-th arrival of task task, at at.
+type release struct {
+	at   rtime.Time
+	task int32
+	seq  int32
 }
 
-func (k *kernel) pushInternal(cpu int, at rtime.Time) {
-	k.internalGen[cpu]++
-	k.push(event{at: at, kind: evInternal, cpu: int32(cpu), gen: k.internalGen[cpu]})
+// releaseOrder lists the arrivals of the per-task traces (total in all)
+// in the order they are released: by time, then task index, then
+// invocation. Each trace is sorted, so listing them task by task and
+// sorting stably by time gives that order; the sort is an LSD radix
+// sort on the bytes of the (non-negative) times, one counting pass per
+// byte up to the latest time's highest.
+func releaseOrder(traces []uam.Trace, total int) []release {
+	src, dst := make([]release, 0, total), make([]release, total)
+	var last rtime.Time
+	for i, tr := range traces {
+		for n, at := range tr {
+			src = append(src, release{at: at, task: int32(i), seq: int32(n)})
+		}
+		if len(tr) > 0 {
+			last = max(last, tr[len(tr)-1])
+		}
+	}
+	for shift := uint(0); shift < 64 && last>>shift > 0; shift += 8 {
+		var count [257]int
+		for _, x := range src {
+			count[int(x.at>>shift&0xff)+1]++
+		}
+		for b := 1; b < len(count); b++ {
+			count[b] += count[b-1]
+		}
+		for _, x := range src {
+			b := int(x.at >> shift & 0xff)
+			dst[count[b]] = x
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // rs returns j's run state, numbered by init when it created j.
@@ -284,26 +319,6 @@ func (k *kernel) emitSched(at rtime.Time, kind trace.Kind, ops int64) {
 	k.cfg.Observer(trace.Event{At: at, Kind: kind, Task: -1, Seq: -1, Object: -1, CPU: k.unbound, Ops: ops})
 }
 
-// next pops the engine's next live event (skipping superseded
-// generation-guarded ones) into the stash, or reports none remain.
-func (k *kernel) next() (event, bool) {
-	for !k.stashed {
-		if k.events.Len() == 0 {
-			return event{}, false
-		}
-		_, ev, _ := k.events.Pop()
-		if ev.kind == evInternal && ev.gen != k.internalGen[ev.cpu] {
-			continue
-		}
-		if (ev.kind == evDispatch || ev.kind == evPreempt) && ev.gen != k.dispatchGen {
-			continue
-		}
-		k.stash = ev
-		k.stashed = true
-	}
-	return k.stash, true
-}
-
 // NextAt peeks the virtual time of the engine's next event. ok is false
 // when the engine has nothing left to process: no events remain, the
 // next event lies beyond the horizon, or the engine failed. The
@@ -313,7 +328,7 @@ func (k *kernel) NextAt() (rtime.Time, bool) {
 	if k.fail != nil || k.finished {
 		return 0, false
 	}
-	ev, ok := k.next()
+	ev, _, ok := k.q.peek()
 	if !ok || ev.at > k.cfg.Horizon {
 		return 0, false
 	}
@@ -326,11 +341,11 @@ func (k *kernel) Err() error { return k.fail }
 // Finish seals and returns the result. Idempotent; call it after
 // StepNext reports the run is over (Run does).
 func (k *kernel) Finish() Result {
-	k.res1.Jobs = k.allJobs
+	k.res1.Jobs = k.q.arrivals[:k.q.released]
 	k.res1.Horizon = k.cfg.Horizon
 	k.res1.Err = k.fail
 	var retries int64
-	for _, j := range k.allJobs {
+	for _, j := range k.res1.Jobs {
 		retries += j.Retries
 	}
 	k.res1.Retries = retries
@@ -348,12 +363,12 @@ func (k *kernel) step() (ev event, resched, ok bool) {
 	if k.fail != nil || k.finished {
 		return event{}, false, false
 	}
-	ev, ok = k.next()
+	ev, src, ok := k.q.peek()
 	if !ok || ev.at > k.cfg.Horizon {
 		k.finished = true
 		return event{}, false, false
 	}
-	k.stashed = false
+	k.q.remove(src)
 	k.now = ev.at
 	if ev.kind == evInternal {
 		resched = k.settle(int(ev.cpu))
@@ -369,8 +384,6 @@ func (k *kernel) step() (ev event, resched, ok bool) {
 		j := ev.job
 		//rtlint:ignore noalloc bounded by total arrivals; reaches steady capacity at warm-up
 		k.live = append(k.live, j)
-		//rtlint:ignore noalloc pre-sized in init for every arrival
-		k.allJobs = append(k.allJobs, j)
 		k.res1.Arrivals++
 		k.emit(k.now, trace.Arrival, j, -1, k.unbound)
 		if j.Injected {
@@ -381,11 +394,12 @@ func (k *kernel) step() (ev event, resched, ok bool) {
 			k.res1.FaultOverruns++
 			k.emit(k.now, trace.FaultOverrun, j, -1, k.unbound)
 		}
-		k.push(event{at: j.AbsoluteCriticalTime(), kind: evCritical, job: j})
+		k.q.push(j.AbsoluteCriticalTime(), evCritical, j)
 		resched = true
 	case evPreempt:
 		// The stochastic quantum on ev.cpu expired with its dispatch
-		// round still current (gen-guarded in next): force a pass.
+		// round still current (a new round clears the slot): force a
+		// pass.
 		if k.running[ev.cpu] != nil {
 			resched = true
 		}
@@ -422,7 +436,7 @@ func (k *kernel) settle(cpu int) bool {
 				// Not a scheduling event (§4.1): fall straight into the
 				// access; the fresh internal event marks its commit point.
 				k.rs(j).accessStart = at
-				k.pushInternal(cpu, at.Add(j.TimeToBoundary(k.acc)))
+				k.q.armBoundary(cpu, at.Add(j.TimeToBoundary(k.acc)))
 				continue
 			}
 			return k.acquire(cpu, j, obj, false)
@@ -460,7 +474,7 @@ func (k *kernel) settle(cpu int) bool {
 				st.casAttempt = 0
 				k.res.RecordCommit(obj, at)
 				k.emit(at, trace.Commit, j, obj, cpu)
-				k.pushInternal(cpu, at.Add(j.TimeToBoundary(k.acc)))
+				k.q.armBoundary(cpu, at.Add(j.TimeToBoundary(k.acc)))
 				continue
 			}
 			return k.release(cpu, j, obj, false)
@@ -495,7 +509,7 @@ func (k *kernel) retryAccess(cpu int, j *task.Job, st *runState, kind trace.Kind
 	j.Retries++
 	k.emit(at, kind, j, obj, cpu)
 	st.accessStart = at
-	k.pushInternal(cpu, at.Add(j.TimeToBoundary(k.acc)))
+	k.q.armBoundary(cpu, at.Add(j.TimeToBoundary(k.acc)))
 }
 
 // acquire requests obj for the job running on cpu at a lock boundary
@@ -623,11 +637,11 @@ func (k *kernel) charge(ops int64, nAborts int) rtime.Duration {
 //
 //rtlint:noalloc per-event path
 func (k *kernel) deferDispatch(overhead rtime.Duration) bool {
-	k.dispatchGen++
+	k.q.newRound()
 	start := rtime.MaxTime(k.busyUntil, k.now)
 	k.busyUntil = start.Add(overhead)
 	if k.busyUntil.After(k.now) {
-		k.push(event{at: k.busyUntil, kind: evDispatch, gen: k.dispatchGen})
+		k.q.armDispatch(k.busyUntil)
 		return true
 	}
 	return false
@@ -645,12 +659,12 @@ func (k *kernel) start(cpu int, j *task.Job) {
 	k.running[cpu] = j
 	k.runPos[cpu] = k.now
 	k.res1.CtxSwitches++
-	k.pushInternal(cpu, k.now.Add(j.TimeToBoundary(k.acc)))
+	k.q.armBoundary(cpu, k.now.Add(j.TimeToBoundary(k.acc)))
 	// Quanta hash with the dispatching processor: the partition index
 	// (StochCPU) on the uniprocessor, the CPU under global scheduling.
 	if q := k.cfg.Stoch.Step(k.cfg.StochCPU+cpu, k.now); q > 0 {
-		// A forced preemption unless a newer dispatch round (gen bump)
-		// supersedes this dispatch.
-		k.push(event{at: k.now.Add(q), kind: evPreempt, cpu: int32(cpu), gen: k.dispatchGen})
+		// A forced preemption unless a newer dispatch round supersedes
+		// this dispatch.
+		k.q.armPreempt(cpu, k.now.Add(q))
 	}
 }

@@ -277,7 +277,7 @@ func (e *Engine) beginAbort(j *task.Job) {
 	start := rtime.MaxTime(e.busyUntil, e.now)
 	e.busyUntil = start.Add(j.Task.AbortCost)
 	e.res1.HandlerTime += j.Task.AbortCost
-	e.push(event{at: e.busyUntil, kind: evAbortDone, job: j})
+	e.q.push(e.busyUntil, evAbortDone, j)
 }
 
 // reschedule runs one scheduling pass over the live jobs and dispatches
@@ -286,7 +286,7 @@ func (e *Engine) beginAbort(j *task.Job) {
 //rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
 func (e *Engine) reschedule() {
 	e.stop(0)
-	e.internalGen[0]++
+	e.q.disarmBoundary(0)
 	w := e.world()
 	d := e.cfg.Scheduler.Select(w)
 	if d.Run != nil && e.cfg.Stoch.Active() {

@@ -253,7 +253,7 @@ func InterleavedSegments(u rtime.Duration, m int, objects []int) []Segment {
 }
 
 // State is a job's lifecycle state.
-type State int
+type State uint8
 
 // Job lifecycle states.
 const (
@@ -310,7 +310,6 @@ type Job struct {
 	SegIdx  int            // current segment index
 	SegDone rtime.Duration // progress within the current segment
 
-	State      State
 	Completion rtime.Time // set when State becomes Completed
 	AbortedAt  rtime.Time // set when the critical time expired
 
@@ -330,6 +329,10 @@ type Job struct {
 	OverrunSeg int32
 	Injected   bool
 
+	// State is declared here, next to the narrow fault fields, so the
+	// three share one word of the struct.
+	State State
+
 	// Slots index per-job state kept in slices instead of maps keyed by
 	// *Job. EngineSlot is set once by the engine that creates the job
 	// (its position in the engine's run-state slab). SchedSlot is
@@ -338,20 +341,84 @@ type Job struct {
 	EngineSlot int32
 	SchedSlot  int32
 
-	// critAt is Arrival + C_i, stamped by NewJob so the schedulers' hot
+	// critAt is Arrival + C_i, stamped by Init so the schedulers' hot
 	// paths read a field instead of calling into the TUF.
 	critAt rtime.Time
+
+	// suffix is the task's remaining-demand table, shared by every job
+	// built from it, so Remaining reads one row instead of walking the
+	// segments.
+	suffix *Suffix
 }
 
-// NewJob returns a fresh job for the j-th invocation of t released at ar.
-// It stamps the job's absolute critical time, so neither ar nor t's TUF
-// may change afterwards. A task without a TUF (which Validate rejects)
-// gets its release instant as the critical time.
-func NewJob(t *Task, seq int, ar rtime.Time) *Job {
-	j := &Job{Task: t, Seq: seq, Arrival: ar, State: Ready, critAt: ar}
-	if t.TUF != nil {
-		j.critAt = ar.Add(t.TUF.CriticalTime())
+// Suffix is a task's remaining-demand table: row k holds the compute
+// demand and the number of object accesses of segments k through the
+// last, and one extra zero row stands for a finished job. It describes
+// the task's segment kinds, compute durations and critical time as they
+// were when it was built, so none of them may change while jobs built
+// from it run; object ids may.
+type Suffix struct {
+	task *Task
+	crit rtime.Duration // C_i, or 0 for a task without a TUF
+	rows []suffixRow
+}
+
+type suffixRow struct {
+	compute  rtime.Duration
+	accesses int64
+}
+
+// NewSuffixes builds the remaining-demand tables of ts, index-aligned
+// with it, in two allocations. An engine builds them once per run and
+// creates every job of ts[i] through the i-th table.
+func NewSuffixes(ts []*Task) []Suffix {
+	n := 0
+	for _, t := range ts {
+		n += len(t.Segments) + 1
 	}
+	rows := make([]suffixRow, n)
+	out := make([]Suffix, len(ts))
+	for i, t := range ts {
+		m := len(t.Segments) + 1
+		r := rows[:m:m]
+		rows = rows[m:]
+		for k := m - 2; k >= 0; k-- {
+			r[k] = r[k+1]
+			switch s := t.Segments[k]; s.Kind {
+			case Compute:
+				r[k].compute += s.D
+			case Access:
+				r[k].accesses++
+			}
+		}
+		out[i] = Suffix{task: t, rows: r}
+		if t.TUF != nil {
+			out[i].crit = t.TUF.CriticalTime()
+		}
+	}
+	return out
+}
+
+// Init makes *j, which must be the zero Job, a fresh job for the seq-th
+// invocation of the table's task released at ar, sharing the table;
+// callers that allocate jobs in bulk use it instead of NewJob. It stamps
+// the job's absolute critical time, so ar may not change afterwards. A
+// task without a TUF (which Validate rejects) gets its release instant
+// as the critical time.
+func (s *Suffix) Init(j *Job, seq int, ar rtime.Time) {
+	// Field by field: the zero Job is already Ready, and a composite
+	// literal would copy all 128 bytes through a temporary.
+	j.Task, j.Seq, j.Arrival, j.suffix = s.task, seq, ar, s
+	j.critAt = ar.Add(s.crit)
+}
+
+// NewJob returns a fresh job for the seq-th invocation of t released at
+// ar, with a remaining-demand table of its own. Code that creates many
+// jobs of one task shares one table through NewSuffixes and Init
+// instead.
+func NewJob(t *Task, seq int, ar rtime.Time) *Job {
+	j := new(Job)
+	NewSuffixes([]*Task{t})[0].Init(j, seq, ar)
 	return j
 }
 
@@ -359,7 +426,7 @@ func NewJob(t *Task, seq int, ar rtime.Time) *Job {
 func (j *Job) Name() string { return fmt.Sprintf("J[%d,%d]", j.Task.ID, j.Seq) }
 
 // AbsoluteCriticalTime returns the wall-clock instant of the job's
-// critical time, Arrival + C_i, as NewJob stamped it.
+// critical time, Arrival + C_i, as Init stamped it.
 func (j *Job) AbsoluteCriticalTime() rtime.Time { return j.critAt }
 
 // Done reports whether the job has left the system.
@@ -402,19 +469,11 @@ func (j *Job) SetOverrun(d rtime.Duration) {
 // Remaining returns the execution demand left, with each remaining object
 // access costing acc. Progress inside the current segment counts.
 func (j *Job) Remaining(acc rtime.Duration) rtime.Duration {
-	if j.Done() || j.SegIdx >= len(j.Task.Segments) {
+	if j.Done() {
 		return 0
 	}
-	var rem rtime.Duration
-	for k := j.SegIdx; k < len(j.Task.Segments); k++ {
-		switch s := j.Task.Segments[k]; s.Kind {
-		case Access:
-			rem += acc
-		case Compute:
-			rem += s.D
-		}
-	}
-	rem -= j.SegDone
+	r := &j.suffix.rows[j.SegIdx]
+	rem := r.compute + rtime.Duration(r.accesses)*acc - j.SegDone
 	if rem < 0 {
 		rem = 0
 	}

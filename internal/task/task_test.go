@@ -387,6 +387,55 @@ func TestQuickRemainingInvariant(t *testing.T) {
 	}
 }
 
+// TestSuffixMatchesSegmentWalk holds the suffix table to a direct walk
+// of the remaining segments, at every segment index and in-segment
+// progress, over a task mixing compute, accesses and an explicit
+// section. Jobs built from one NewSuffixes table share it.
+func TestSuffixMatchesSegmentWalk(t *testing.T) {
+	tk := sampleTask(0, 1, 0, nil)
+	tk.Segments = []Segment{
+		{Kind: Compute, D: 7}, {Kind: Access, Object: 0}, {Kind: Lock, Object: 1},
+		{Kind: Compute, D: 5}, {Kind: Access, Object: 2}, {Kind: Unlock, Object: 1},
+		{Kind: Compute, D: 11},
+	}
+	walk := func(j *Job, acc rtime.Duration) rtime.Duration {
+		var rem rtime.Duration
+		for _, s := range j.Task.Segments[j.SegIdx:] {
+			switch s.Kind {
+			case Compute:
+				rem += s.D
+			case Access:
+				rem += acc
+			}
+		}
+		return max(rem-j.SegDone, 0)
+	}
+	tables := NewSuffixes([]*Task{sampleTask(1, 10, 1, []int{0}), tk})
+	a, b := new(Job), new(Job)
+	tables[1].Init(a, 0, 0)
+	tables[1].Init(b, 1, 50)
+	if a.suffix != b.suffix || a.suffix != &tables[1] || a.Task != tk {
+		t.Fatal("jobs of one table do not share it")
+	}
+	for _, acc := range []rtime.Duration{1, 9} {
+		for k := 0; k <= len(tk.Segments); k++ {
+			for _, done := range []rtime.Duration{0, 3, 40} {
+				a.SegIdx, a.SegDone = k, done
+				if k == len(tk.Segments) {
+					a.SegDone = 0
+				}
+				if got, want := a.Remaining(acc), walk(a, acc); got != want {
+					t.Fatalf("acc %v seg %d done %v: Remaining = %v, walk = %v", acc, k, done, got, want)
+				}
+			}
+		}
+	}
+	a.State = Completed
+	if got := a.Remaining(9); got != 0 {
+		t.Fatalf("Remaining of a completed job = %v", got)
+	}
+}
+
 // TestJobSize: the engine and the scheduler passes walk jobs by pointer
 // on every event, so the struct stays within two 64-byte cache lines.
 func TestJobSize(t *testing.T) {
