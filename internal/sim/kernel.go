@@ -213,10 +213,9 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	k.rsSlab = make([]runState, arrivals)
 	slab := make([]task.Job, arrivals)
 	jobs := make([]*task.Job, arrivals)
-	sfx := task.NewSuffixes(cfg.Tasks)
-	us := make([]rtime.Duration, len(cfg.Tasks))
+	sfx := make([]*task.Suffix, len(cfg.Tasks))
 	for i, t := range cfg.Tasks {
-		us[i] = t.ComputeTime()
+		sfx[i] = t.Suffix()
 	}
 	for r, x := range releaseOrder(traces, arrivals) {
 		i, n := int(x.task), int(x.seq)
@@ -227,7 +226,7 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		if injected[i] != nil && injected[i][n] {
 			j.Injected = true
 		}
-		j.SetOverrun(cfg.Fault.Overrun(cfg.Tasks[i].ID, n, us[i]))
+		j.SetOverrun(cfg.Fault.Overrun(cfg.Tasks[i].ID, n, sfx[i].Compute()))
 		jobs[r] = j
 	}
 	// The timing wheel holds a job's critical time from its release

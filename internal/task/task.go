@@ -14,6 +14,7 @@ package task
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/rtime"
 	"repro/internal/tuf"
@@ -64,6 +65,9 @@ type Task struct {
 	Arrival   uam.Spec
 	Segments  []Segment
 	AbortCost rtime.Duration
+
+	// suffix caches the remaining-demand table; see Task.Suffix.
+	suffix atomic.Pointer[Suffix]
 }
 
 // Validate checks the §2 model constraints: a valid TUF, a valid UAM spec,
@@ -184,10 +188,15 @@ func (t *Task) Objects() []int {
 // retarget segment objects without affecting the template; cloning is far
 // cheaper than rebuilding the workload (no TUF construction, validation,
 // or name formatting).
+//
+// The clone does not share the remaining-demand table; it builds its own
+// on first use.
 func (t *Task) Clone() *Task {
-	cp := *t
-	cp.Segments = append([]Segment(nil), t.Segments...)
-	return &cp
+	return &Task{
+		ID: t.ID, Name: t.Name, TUF: t.TUF, Arrival: t.Arrival,
+		Segments:  append([]Segment(nil), t.Segments...),
+		AbortCost: t.AbortCost,
+	}
 }
 
 // CloneAll clones every task in the slice.
@@ -344,19 +353,13 @@ type Job struct {
 	// critAt is Arrival + C_i, stamped by Init so the schedulers' hot
 	// paths read a field instead of calling into the TUF.
 	critAt rtime.Time
-
-	// suffix is the task's remaining-demand table, shared by every job
-	// built from it, so Remaining reads one row instead of walking the
-	// segments.
-	suffix *Suffix
 }
 
 // Suffix is a task's remaining-demand table: row k holds the compute
 // demand and the number of object accesses of segments k through the
-// last, and one extra zero row stands for a finished job. It describes
-// the task's segment kinds, compute durations and critical time as they
-// were when it was built, so none of them may change while jobs built
-// from it run; object ids may.
+// last, and one extra zero row stands for a finished job. The task keeps
+// it (see Task.Suffix) and its jobs read it through Job.Task, so
+// Remaining reads one row instead of walking the segments.
 type Suffix struct {
 	task *Task
 	crit rtime.Duration // C_i, or 0 for a task without a TUF
@@ -368,57 +371,81 @@ type suffixRow struct {
 	accesses int64
 }
 
-// NewSuffixes builds the remaining-demand tables of ts, index-aligned
-// with it, in two allocations. An engine builds them once per run and
-// creates every job of ts[i] through the i-th table.
-func NewSuffixes(ts []*Task) []Suffix {
-	n := 0
-	for _, t := range ts {
-		n += len(t.Segments) + 1
+func (r *suffixRow) add(s Segment) {
+	switch s.Kind {
+	case Compute:
+		r.compute += s.D
+	case Access:
+		r.accesses++
 	}
-	rows := make([]suffixRow, n)
-	out := make([]Suffix, len(ts))
-	for i, t := range ts {
-		m := len(t.Segments) + 1
-		r := rows[:m:m]
-		rows = rows[m:]
-		for k := m - 2; k >= 0; k-- {
-			r[k] = r[k+1]
-			switch s := t.Segments[k]; s.Kind {
-			case Compute:
-				r[k].compute += s.D
-			case Access:
-				r[k].accesses++
-			}
-		}
-		out[i] = Suffix{task: t, rows: r}
-		if t.TUF != nil {
-			out[i].crit = t.TUF.CriticalTime()
-		}
-	}
-	return out
 }
 
+// Suffix returns t's remaining-demand table. It builds the table on
+// first use and again whenever t's segment kinds, compute durations or
+// critical time no longer match it, so a task edited between runs gets
+// a fresh one; the check is one pass over the segments. Engines call it
+// once per task per run and NewJob once per job, so the table describes
+// the task as those calls last saw it: none of those fields may change
+// while jobs of t run, but object ids may. Runs that share t read-only
+// may call it concurrently.
+func (t *Task) Suffix() *Suffix {
+	if s := t.suffix.Load(); s != nil && s.describes(t) {
+		return s
+	}
+	m := len(t.Segments) + 1
+	s := &Suffix{task: t, crit: criticalTime(t), rows: make([]suffixRow, m)}
+	for k := m - 2; k >= 0; k-- {
+		s.rows[k] = s.rows[k+1]
+		s.rows[k].add(t.Segments[k])
+	}
+	t.suffix.Store(s)
+	return s
+}
+
+// describes reports whether s is the table Suffix would build for t.
+func (s *Suffix) describes(t *Task) bool {
+	if s.task != t || s.crit != criticalTime(t) || len(s.rows) != len(t.Segments)+1 {
+		return false
+	}
+	var r suffixRow
+	for k := len(t.Segments) - 1; k >= 0; k-- {
+		r.add(t.Segments[k])
+		if r != s.rows[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func criticalTime(t *Task) rtime.Duration {
+	if t.TUF == nil {
+		return 0
+	}
+	return t.TUF.CriticalTime()
+}
+
+// Compute returns the task's compute demand u_i (its ComputeTime).
+func (s *Suffix) Compute() rtime.Duration { return s.rows[0].compute }
+
 // Init makes *j, which must be the zero Job, a fresh job for the seq-th
-// invocation of the table's task released at ar, sharing the table;
-// callers that allocate jobs in bulk use it instead of NewJob. It stamps
-// the job's absolute critical time, so ar may not change afterwards. A
-// task without a TUF (which Validate rejects) gets its release instant
-// as the critical time.
+// invocation of the table's task released at ar; callers that allocate
+// jobs in bulk use it instead of NewJob. It stamps the job's absolute
+// critical time, so ar may not change afterwards. A task without a TUF
+// (which Validate rejects) gets its release instant as the critical
+// time.
 func (s *Suffix) Init(j *Job, seq int, ar rtime.Time) {
 	// Field by field: the zero Job is already Ready, and a composite
-	// literal would copy all 128 bytes through a temporary.
-	j.Task, j.Seq, j.Arrival, j.suffix = s.task, seq, ar, s
+	// literal would copy the whole struct through a temporary.
+	j.Task, j.Seq, j.Arrival = s.task, seq, ar
 	j.critAt = ar.Add(s.crit)
 }
 
 // NewJob returns a fresh job for the seq-th invocation of t released at
-// ar, with a remaining-demand table of its own. Code that creates many
-// jobs of one task shares one table through NewSuffixes and Init
-// instead.
+// ar. Code that creates many jobs of one task takes t.Suffix() once and
+// calls Init instead.
 func NewJob(t *Task, seq int, ar rtime.Time) *Job {
 	j := new(Job)
-	NewSuffixes([]*Task{t})[0].Init(j, seq, ar)
+	t.Suffix().Init(j, seq, ar)
 	return j
 }
 
@@ -472,7 +499,7 @@ func (j *Job) Remaining(acc rtime.Duration) rtime.Duration {
 	if j.Done() {
 		return 0
 	}
-	r := &j.suffix.rows[j.SegIdx]
+	r := &j.Task.suffix.Load().rows[j.SegIdx]
 	rem := r.compute + rtime.Duration(r.accesses)*acc - j.SegDone
 	if rem < 0 {
 		rem = 0

@@ -32,55 +32,55 @@ func TestValidateGood(t *testing.T) {
 func TestValidateBad(t *testing.T) {
 	base := sampleTask(1, 100, 1, []int{0})
 
-	noTUF := *base
+	noTUF := base.Clone()
 	noTUF.TUF = nil
 	if err := noTUF.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Error("nil TUF accepted")
 	}
 
-	badArr := *base
+	badArr := base.Clone()
 	badArr.Arrival = uam.Spec{L: 0, A: 0, W: 100}
 	if err := badArr.Validate(); err == nil {
 		t.Error("bad arrival accepted")
 	}
 
-	cGtW := *base
+	cGtW := base.Clone()
 	cGtW.Arrival = uam.Spec{L: 0, A: 1, W: 500} // C=1000 > W=500
 	if err := cGtW.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Error("C > W accepted")
 	}
 
-	empty := *base
+	empty := base.Clone()
 	empty.Segments = nil
 	if err := empty.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Error("empty segments accepted")
 	}
 
-	zeroSeg := *base
+	zeroSeg := base.Clone()
 	zeroSeg.Segments = []Segment{{Kind: Compute, D: 0}}
 	if err := zeroSeg.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Error("zero compute segment accepted")
 	}
 
-	negObj := *base
+	negObj := base.Clone()
 	negObj.Segments = []Segment{{Kind: Access, Object: -1}}
 	if err := negObj.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Error("negative object accepted")
 	}
 	for _, kind := range []SegmentKind{Access, Lock} {
-		bigObj := *base
+		bigObj := base.Clone()
 		bigObj.Segments = []Segment{{Kind: kind, Object: MaxObject + 1}, {Kind: Compute, D: 1}}
 		if err := bigObj.Validate(); !errors.Is(err, ErrInvalid) {
 			t.Errorf("object id above MaxObject accepted in a %d segment", kind)
 		}
 	}
-	maxObj := *base
+	maxObj := base.Clone()
 	maxObj.Segments = []Segment{{Kind: Compute, D: 1}, {Kind: Access, Object: MaxObject}}
 	if err := maxObj.Validate(); err != nil {
 		t.Errorf("object id MaxObject rejected: %v", err)
 	}
 
-	negAbort := *base
+	negAbort := base.Clone()
 	negAbort.AbortCost = -1
 	if err := negAbort.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Error("negative abort cost accepted")
@@ -390,7 +390,8 @@ func TestQuickRemainingInvariant(t *testing.T) {
 // TestSuffixMatchesSegmentWalk holds the suffix table to a direct walk
 // of the remaining segments, at every segment index and in-segment
 // progress, over a task mixing compute, accesses and an explicit
-// section. Jobs built from one NewSuffixes table share it.
+// section. The task keeps one table for all its jobs, rebuilds it
+// after an edit, and does not share it with a clone.
 func TestSuffixMatchesSegmentWalk(t *testing.T) {
 	tk := sampleTask(0, 1, 0, nil)
 	tk.Segments = []Segment{
@@ -410,29 +411,77 @@ func TestSuffixMatchesSegmentWalk(t *testing.T) {
 		}
 		return max(rem-j.SegDone, 0)
 	}
-	tables := NewSuffixes([]*Task{sampleTask(1, 10, 1, []int{0}), tk})
-	a, b := new(Job), new(Job)
-	tables[1].Init(a, 0, 0)
-	tables[1].Init(b, 1, 50)
-	if a.suffix != b.suffix || a.suffix != &tables[1] || a.Task != tk {
-		t.Fatal("jobs of one table do not share it")
+	a, b := NewJob(tk, 0, 0), NewJob(tk, 1, 50)
+	s := tk.Suffix()
+	if tk.suffix.Load() != s || a.Task != tk || b.Task != tk {
+		t.Fatal("jobs of one task do not share its table")
 	}
-	for _, acc := range []rtime.Duration{1, 9} {
-		for k := 0; k <= len(tk.Segments); k++ {
-			for _, done := range []rtime.Duration{0, 3, 40} {
-				a.SegIdx, a.SegDone = k, done
-				if k == len(tk.Segments) {
-					a.SegDone = 0
-				}
-				if got, want := a.Remaining(acc), walk(a, acc); got != want {
-					t.Fatalf("acc %v seg %d done %v: Remaining = %v, walk = %v", acc, k, done, got, want)
+	if got, want := s.Compute(), tk.ComputeTime(); got != want {
+		t.Fatalf("Compute = %v, ComputeTime = %v", got, want)
+	}
+	check := func() {
+		t.Helper()
+		for _, acc := range []rtime.Duration{1, 9} {
+			for k := 0; k <= len(tk.Segments); k++ {
+				for _, done := range []rtime.Duration{0, 3, 40} {
+					a.SegIdx, a.SegDone = k, done
+					if k == len(tk.Segments) {
+						a.SegDone = 0
+					}
+					if got, want := a.Remaining(acc), walk(a, acc); got != want {
+						t.Fatalf("acc %v seg %d done %v: Remaining = %v, walk = %v", acc, k, done, got, want)
+					}
 				}
 			}
 		}
 	}
+	check()
+	tk.Segments[1].Object = 9
+	if tk.Suffix() != s {
+		t.Fatal("an object id edit rebuilt the table")
+	}
+	for _, edit := range []func(){
+		func() { tk.Segments[3].D = 6 },
+		func() { tk.Segments[4].Kind = Compute; tk.Segments[4].D = 2 },
+		func() { tk.Segments = tk.Segments[:5] },
+		func() { tk.TUF = tuf.MustStep(10, 1500) },
+	} {
+		edit()
+		if next := tk.Suffix(); next == s {
+			t.Fatal("an edit kept the stale table")
+		} else {
+			s = next
+		}
+		check()
+	}
+	if c := tk.Clone(); c.Suffix() == s || c.Suffix().task != c {
+		t.Fatal("a clone shares its template's table")
+	}
 	a.State = Completed
 	if got := a.Remaining(9); got != 0 {
 		t.Fatalf("Remaining of a completed job = %v", got)
+	}
+}
+
+// TestSuffixShared: runs that share a task read-only may create jobs of
+// it and read their remaining demand concurrently (run with -race).
+func TestSuffixShared(t *testing.T) {
+	tk := sampleTask(0, 40, 3, []int{0, 1, 2})
+	want := tk.ComputeTime() + 3*5
+	done := make(chan rtime.Duration)
+	for g := 0; g < 2; g++ {
+		go func() {
+			var got rtime.Duration
+			for n := 0; n < 100; n++ {
+				got = NewJob(tk, n, 0).Remaining(5)
+			}
+			done <- got
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		if got := <-done; got != want {
+			t.Fatalf("Remaining = %v, want %v", got, want)
+		}
 	}
 }
 

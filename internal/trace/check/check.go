@@ -228,9 +228,9 @@ func NewStream(tasks []*task.Task, cfg Config) (*Stream, error) {
 		}
 		effTasks := make([]*task.Task, len(tasks))
 		for i, t := range tasks {
-			ct := *t
+			ct := t.Clone()
 			ct.Arrival = cfg.EffectiveSpecs[i]
-			effTasks[i] = &ct
+			effTasks[i] = ct
 		}
 		effRetryBound, effSojournBound, err = boundsFor(effTasks, cfg, checkT2)
 		if err != nil {
