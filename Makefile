@@ -165,6 +165,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz '^FuzzScheduleRollback$$' -fuzztime $(FUZZTIME) ./internal/rua
 	$(GO) test -run NONE -fuzz '^FuzzEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz '^FuzzHistMatchesSorted$$' -fuzztime $(FUZZTIME) ./internal/metrics/hist
 
 # Serving-mode smoke: boot rtsimd, submit a fault-injected trace spec
 # twice over real HTTP (the second must be an exact cache hit), stream
@@ -198,23 +199,29 @@ serve-smoke:
 	cmp serve-smoke-out/served/trace.summary.txt serve-smoke-out/batch/trace.summary.txt
 	@echo "serve smoke OK: served bytes byte-identical to batch, cache counters exact"
 
-# Layer budget of one n=10⁴ uniprocessor run: CPU-profile
+# Layer budget of one n=10⁴ uniprocessor run: CPU- and heap-profile
 # BenchmarkScaleEngineRun/n=10000 and print, per layer, the share of all
-# samples whose stack passes through it (pprof -top -focus). Layers nest
-# (sim.New calls into uam, task and tuf), so shares add up to more than
-# 100%. The test binary and profile stay in the gitignored
-# .profile-layers/; inspect them with
-# `go tool pprof .profile-layers/repro.test .profile-layers/cpu.pprof`.
+# CPU samples and of all allocated bytes (alloc_space) whose stack passes
+# through it (pprof -top -focus). Layers nest (sim.New calls into uam,
+# task and tuf), so shares add up to more than 100%. The test binary and
+# profiles stay in the gitignored .profile-layers/; inspect them with
+# `go tool pprof .profile-layers/repro.test .profile-layers/cpu.pprof`
+# (or mem.pprof with -sample_index=alloc_space).
 PROFILE_LAYERS = experiment task tuf uam sim rtime/wheel rua resource
 profile-layers:
 	@mkdir -p .profile-layers
 	$(GO) test -run NONE -bench '^BenchmarkScaleEngineRun$$/^n=10000$$' -benchtime 20x \
-	  -o .profile-layers/repro.test -cpuprofile cpu.pprof -outputdir .profile-layers . > /dev/null
-	@share() { $(GO) tool pprof -top -nodefraction=0 -focus="$$1" .profile-layers/repro.test \
-	  .profile-layers/cpu.pprof 2>/dev/null | awk '/^Showing nodes accounting for/ { sub(",", "", $$6); print $$6 }'; }; \
-	printf '| layer | cumulative share |\n|---|---|\n'; \
-	for l in $(PROFILE_LAYERS); do printf '| `%s` | %s |\n' "$$l" "$$(share "^repro/internal/$$l\.")"; done; \
-	printf '| runtime GC/malloc | %s |\n' "$$(share '^runtime\.(mallocgc|gcBgMarkWorker|gcAssistAlloc|bgsweep|bgscavenge)$$')"
+	  -o .profile-layers/repro.test -cpuprofile cpu.pprof -memprofile mem.pprof -memprofilerate 4096 \
+	  -outputdir .profile-layers . > /dev/null
+	@share() { $(GO) tool pprof -top -nodefraction=0 -sample_index="$$2" -focus="$$1" .profile-layers/repro.test \
+	  .profile-layers/$$3 2>/dev/null | awk '/^Showing nodes accounting for/ { sub(",", "", $$6); print $$6 }'; }; \
+	total() { $(GO) tool pprof -top -sample_index="$$1" .profile-layers/repro.test .profile-layers/$$2 2>/dev/null | \
+	  awk '/^Showing nodes accounting for/ { print $$8 }'; }; \
+	shares() { printf '| %s | %s | %s |\n' "$$1" "$$(share "$$2" cpu cpu.pprof)" "$$(share "$$2" alloc_space mem.pprof)"; }; \
+	printf '| layer | CPU share | alloc_space share |\n|---|---|---|\n'; \
+	for l in $(PROFILE_LAYERS); do shares "\`$$l\`" "^repro/internal/$$l\."; done; \
+	printf '| runtime GC/malloc | %s | — |\n' "$$(share '^runtime\.(mallocgc|gcBgMarkWorker|gcAssistAlloc|bgsweep|bgscavenge)$$' cpu cpu.pprof)"; \
+	printf '| total of 20 runs | %s | %s |\n' "$$(total cpu cpu.pprof)" "$$(total alloc_space mem.pprof)"
 
 # CPU + heap profiles of the canonical metrics fold; inspect with
 # `go tool pprof cpu.pprof`.

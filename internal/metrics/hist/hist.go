@@ -13,15 +13,22 @@
 //   - counters and sums are int64 — no float accumulation, so Merge is
 //     exactly associative and the fold order of a parallel sweep can
 //     never change a rendered digit;
-//   - quantiles are exact (nearest-rank over retained samples) up to a
-//     configurable cap, and degrade to conservative bucket upper
+//   - quantiles are exact (nearest-rank over every recorded value) up
+//     to a configurable cap, and degrade to conservative bucket upper
 //     bounds beyond it — they never under-report a tail.
+//
+// "Exact" keeps every value, but not every value as a sample: a value
+// in [0, 64) — retry and attempt counts, almost always 1–3 — only
+// increments a per-value count, and only values outside that range are
+// kept as raw samples. Memory for exact quantiles is thus O(64 + values
+// outside it), not O(values).
 package hist
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -31,11 +38,15 @@ var ErrBounds = errors.New("hist: invalid bucket bounds")
 // ErrMerge reports a merge between histograms with different shapes.
 var ErrMerge = errors.New("hist: incompatible histograms")
 
-// DefaultExactCap is how many raw samples a histogram retains for
-// exact quantiles before degrading to bucket-resolution quantiles.
+// DefaultExactCap is how many values a histogram records with exact
+// quantiles before degrading to bucket-resolution quantiles.
 // Trace-suite runs observe at most a few thousand jobs, so the exact
 // path is the norm; the cap only guards pathological volumes.
 const DefaultExactCap = 1 << 16
+
+// smallRange bounds the values an exact histogram counts per value
+// instead of keeping as samples: v in [0, smallRange).
+const smallRange = 64
 
 // Hist is a fixed-boundary histogram over int64 values. The zero value
 // is not usable; construct with New, Linear, or Exp2.
@@ -48,8 +59,13 @@ type Hist struct {
 	min int64
 	max int64
 
-	samples  []int64 // raw values while n ≤ exactCap; nil once degraded
+	// While exact, every recorded value is either counted in small
+	// (v in [0, smallRange), allocated at the first such value) or kept
+	// in samples; both are dropped once degraded.
+	small    []int64
+	samples  []int64
 	sorted   bool
+	degraded bool
 	exactCap int
 }
 
@@ -129,9 +145,6 @@ func (h *Hist) SetExactCap(n int) {
 		panic("hist: SetExactCap after Add")
 	}
 	h.exactCap = n
-	if n == 0 {
-		h.samples = nil
-	}
 }
 
 // Add records one value.
@@ -145,12 +158,25 @@ func (h *Hist) Add(v int64) {
 	if v > h.max {
 		h.max = v
 	}
-	if h.n <= int64(h.exactCap) {
+	switch {
+	case h.degraded: // buckets only
+	case h.n > int64(h.exactCap):
+		h.degrade() // quantiles now come from buckets
+	case v >= 0 && v < smallRange:
+		if h.small == nil {
+			h.small = make([]int64, smallRange)
+		}
+		h.small[v]++
+	default:
 		h.samples = append(h.samples, v)
 		h.sorted = false
-	} else {
-		h.samples = nil // degrade: quantiles now come from buckets
 	}
+}
+
+// degrade drops the exact-quantile state for good.
+func (h *Hist) degrade() {
+	h.degraded = true
+	h.small, h.samples = nil, nil
 }
 
 // bucketOf returns the index of the bucket receiving v (binary search
@@ -191,9 +217,9 @@ func (h *Hist) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Exact reports whether quantiles are exact (raw samples retained)
-// rather than bucket-resolution.
-func (h *Hist) Exact() bool { return h.n == 0 || h.samples != nil }
+// Exact reports whether quantiles are exact (every value retained,
+// counted or kept) rather than bucket-resolution.
+func (h *Hist) Exact() bool { return !h.degraded }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by the nearest-rank
 // method: the smallest recorded value with at least ⌈q·n⌉ values ≤ it.
@@ -217,12 +243,8 @@ func (h *Hist) Quantile(q float64) int64 {
 	if rank > h.n {
 		rank = h.n
 	}
-	if h.samples != nil {
-		if !h.sorted {
-			sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-			h.sorted = true
-		}
-		return h.samples[rank-1]
+	if !h.degraded {
+		return h.exactRank(rank)
 	}
 	var cum int64
 	for i, c := range h.counts {
@@ -239,6 +261,28 @@ func (h *Hist) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
+}
+
+// exactRank returns the rank-th smallest recorded value (1-based) of an
+// exact histogram: in ascending order, the negative samples, then the
+// counted values, then the samples of smallRange and above.
+func (h *Hist) exactRank(rank int64) int64 {
+	if !h.sorted {
+		slices.Sort(h.samples)
+		h.sorted = true
+	}
+	neg, _ := slices.BinarySearch(h.samples, 0)
+	if rank <= int64(neg) {
+		return h.samples[rank-1]
+	}
+	rank -= int64(neg)
+	for v, c := range h.small {
+		if rank <= c {
+			return int64(v)
+		}
+		rank -= c
+	}
+	return h.samples[int64(neg)+rank-1]
 }
 
 // Merge folds o into h. Both histograms must share identical bounds.
@@ -267,11 +311,22 @@ func (h *Hist) Merge(o *Hist) error {
 	}
 	h.n += o.n
 	h.sum += o.sum
-	if exactBefore && o.Exact() && h.n <= int64(h.exactCap) {
-		h.samples = append(h.samples, o.samples...)
-		h.sorted = false
-	} else if h.n > 0 {
-		h.samples = nil
+	switch {
+	case exactBefore && o.Exact() && h.n <= int64(h.exactCap):
+		if o.small != nil {
+			if h.small == nil {
+				h.small = make([]int64, smallRange)
+			}
+			for v, c := range o.small {
+				h.small[v] += c
+			}
+		}
+		if len(o.samples) > 0 {
+			h.samples = append(h.samples, o.samples...)
+			h.sorted = false
+		}
+	case h.n > 0:
+		h.degrade()
 	}
 	return nil
 }
@@ -316,7 +371,7 @@ type Summary struct {
 	P50, P90, P95, P99, P999 int64
 }
 
-// Summarize computes the digest in one pass over the retained samples.
+// Summarize computes the digest.
 // P999 extends the tail view for retry-attempt distributions, where the
 // paper's interesting behaviour (and Theorem 2's bound) lives in the
 // extreme quantiles rather than the mean.

@@ -72,7 +72,9 @@ type jobObj struct {
 // and order-insensitive within a job's access — fed the events
 // FromEvents sorts, in any time order, it produces an identical Set —
 // and its memory is O(objects + in-flight accesses) regardless of trace
-// length.
+// length: the histograms count attempt and failure values below 64 per
+// value, and keep a sample only for the rare access that failed that
+// often (at most hist.DefaultExactCap per histogram).
 type Stream struct {
 	byObj   map[int]*Dist
 	pending map[jobObj]int64 // open operation → CAS failures so far

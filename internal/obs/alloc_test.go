@@ -1,10 +1,10 @@
 package obs_test
 
 import (
-	"math"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
-	"repro/internal/metrics/hist"
 	"repro/internal/obs"
 	"repro/internal/rtime"
 	"repro/internal/trace"
@@ -55,17 +55,39 @@ func replay(p *obs.Pipeline, events []trace.Event, pass int, span rtime.Time) {
 	}
 }
 
+// warmup is how many replay passes bring a pipeline to its steady
+// state: the ring is full, the maps are sized, the span pool is primed
+// and every ops histogram has counted the small attempt values it will
+// see.
+const warmup = 2
+
+// maxWarmPassBytes bounds the heap bytes one warm replay pass may
+// allocate. Per-object ops histograms that kept every attempt count
+// as a sample cost about 10 KB a pass of this stream, in the amortized
+// growth of their sample slices.
+const maxWarmPassBytes = 1 << 10
+
+// heapAllocBytes reads the cumulative bytes the heap has allocated. The
+// metric counts a small allocation only once its span leaves the
+// per-P cache, so a GC flushes the caches first.
+func heapAllocBytes() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
 // TestPipelineSteadyStateAllocs pins the streaming pipeline's
-// steady-state behavior: once the ring is full, the maps are sized, and
-// the span pool is primed, replaying thousands of events allocates at
-// most a small constant (jobs still in flight when a pass's horizon
-// cuts off stay live and keep their state). A regression that buffers
-// events or re-allocates per event trips this immediately.
+// steady-state behavior: once warm, replaying thousands of events
+// allocates at most a small constant, in count and in bytes. A
+// regression that buffers events, re-allocates per event, or keeps a
+// per-commit sample (a growing slice allocates rarely but many bytes)
+// trips it.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	events, span := recordReference(t)
-	const warmup, measured = 2, 5
+	const measured = 5
 	p, err := obs.NewPipeline(obs.Config{
-		Horizon:      span * rtime.Time(warmup+measured+4),
+		Horizon:      span * rtime.Time(warmup+2*measured+4),
 		CPUs:         1,
 		SeriesWindow: rtime.Duration(span), // one window per pass: O(passes) points
 		Flight:       256,
@@ -88,39 +110,30 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	if avg > 4 {
 		t.Fatalf("steady-state pass of %d events allocated %.0f times, want ≈ 0", len(events), avg)
 	}
+	heapAllocBytes() // the first read allocates the metrics table
+	before := heapAllocBytes()
+	for end := pass + measured; pass < end; pass++ {
+		replay(p, events, pass, span)
+	}
+	perPass := (heapAllocBytes() - before) / measured
+	t.Logf("warm pass of %d events: %d heap bytes", len(events), perPass)
+	if perPass > maxWarmPassBytes {
+		t.Fatalf("steady-state pass of %d events allocated %d bytes, want ≤ %d", len(events), perPass, maxWarmPassBytes)
+	}
 	if p.Snapshot().Events == 0 || p.Snapshot().Commits == 0 {
 		t.Fatal("replay folded nothing; allocation check is vacuous")
 	}
 }
 
-// warmPasses is how many replay passes of events bring a pipeline to
-// its steady state: besides the ring and the maps, every per-object ops
-// histogram must be past its bounded exact-quantile sample buffer
-// (hist.DefaultExactCap samples), after which recording a commit
-// allocates nothing.
-func warmPasses(events []trace.Event) int {
-	perObj := map[int]int{}
-	for _, e := range events {
-		if e.Object >= 0 && e.Task >= 0 && (e.Kind == trace.Commit || e.Kind == trace.LockRelease) {
-			perObj[e.Object]++
-		}
-	}
-	least := math.MaxInt
-	for _, n := range perObj {
-		least = min(least, n)
-	}
-	return hist.DefaultExactCap/least + 1
-}
-
 // BenchmarkPipelineObserve measures the per-event cost of the full
 // pipeline (span fold + series fold + ops fold + flight ring) in its
-// steady state. The interesting number is B/op: the streaming
-// observability claim is that it stays at zero once warm.
+// steady state, after the same warm-up as
+// TestPipelineSteadyStateAllocs. The interesting number is B/op: the
+// streaming observability claim is that it stays at zero once warm.
 func BenchmarkPipelineObserve(b *testing.B) {
 	b.StopTimer()
 	events, span := recordReference(b)
-	warm := warmPasses(events)
-	passes := warm + b.N/len(events) + 2
+	passes := warmup + b.N/len(events) + 2
 	p, err := obs.NewPipeline(obs.Config{
 		Horizon:      span * rtime.Time(passes+2),
 		CPUs:         1,
@@ -130,12 +143,12 @@ func BenchmarkPipelineObserve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for pass := 0; pass < warm; pass++ {
+	for pass := 0; pass < warmup; pass++ {
 		replay(p, events, pass, span)
 	}
 	b.ReportAllocs()
 	b.StartTimer()
-	pass, i := warm, 0
+	pass, i := warmup, 0
 	atOff := span * rtime.Time(pass)
 	seqOff := pass * 1_000_000
 	for n := 0; n < b.N; n++ {

@@ -29,16 +29,18 @@ const none = -1
 // No state is hashed. Per-object state lives in a table indexed by
 // object id, per-job state in one indexed by Job.EngineSlot, so every
 // job that takes a lock must carry a slot no other live job of the map
-// uses (the engines number the jobs they create; engine-less callers
-// number their own). A job whose slot lies outside the table holds and
-// waits on nothing.
+// uses (the engines give each job a slot while it is live and reuse it
+// after the job departs; engine-less callers number their own). A slot
+// is reusable once ReleaseAll has emptied its record. A job whose slot
+// lies outside the table holds and waits on nothing.
 type Map struct {
 	objs []objRecord // object id → holder, held-list link, last commit
 	jobs []jobRecord // Job.EngineSlot → wait record, held list, walk stamp
 
-	// jobCap is the job-table length reserved by NewSizedMap. The table
-	// itself is allocated when the first lock is taken, so a lock-free
-	// run never pays for it.
+	// jobCap is the initial job-table length NewSizedMap asks for. The
+	// table itself is allocated when the first lock is taken, so a
+	// lock-free run never pays for it, and grows by doubling to the
+	// largest slot it sees.
 	jobCap int
 
 	// epoch stamps the jobs one dependency-chain walk has visited, so
@@ -76,9 +78,10 @@ var emptyJob = jobRecord{wait: none, top: none}
 // object id and EngineSlot they see.
 func NewMap() *Map { return &Map{} }
 
-// NewSizedMap returns an empty resource map for a run of at most jobs
-// jobs (EngineSlots 0..jobs−1) over objects objects (ids 0..objects−1),
-// so the run never grows a table.
+// NewSizedMap returns an empty resource map whose object table holds
+// objects objects (ids 0..objects−1), so the run never grows it, and
+// whose job table starts at jobs records (EngineSlots 0..jobs−1) and
+// grows past that by doubling.
 func NewSizedMap(jobs, objects int) *Map {
 	return &Map{objs: make([]objRecord, objects), jobCap: jobs}
 }
@@ -112,7 +115,7 @@ func (m *Map) claim(j *task.Job) (*jobRecord, error) {
 		return nil, fmt.Errorf("%w: %s has negative EngineSlot %d", ErrState, j.Name(), s)
 	}
 	if s >= len(m.jobs) {
-		//rtlint:ignore noalloc once per run at the first lock, sized by NewSizedMap; only unsized maps grow again
+		//rtlint:ignore noalloc at the first lock, then grows by doubling to the peak live-job slot; amortized
 		grown := make([]jobRecord, max(m.jobCap, s+1, 2*len(m.jobs)))
 		for i := copy(grown, m.jobs); i < len(grown); i++ {
 			grown[i] = emptyJob

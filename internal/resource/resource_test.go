@@ -191,6 +191,54 @@ func TestSharedSlotRejected(t *testing.T) {
 	}
 }
 
+// TestSlotReusedAfterReleaseAll: engines hand a departed job's slot to
+// the next job released. Once ReleaseAll has emptied the record, the new
+// job starts clean and chain walks through the slot find it; reusing a
+// slot whose job still holds a lock is caught at the next acquisition.
+func TestSlotReusedAfterReleaseAll(t *testing.T) {
+	m := NewSizedMap(1, 3)
+	a, c := mkJob(0), mkJob(1)
+	m.TryAcquire(a, 0)
+	m.TryAcquire(a, 1)
+	m.TryAcquire(c, 2)
+	if granted, _, _ := m.TryAcquire(a, 2); granted {
+		t.Fatal("setup: object 2 should be held by c")
+	}
+	m.ReleaseAll(a) // a departs; its slot 0 is free again
+	a.EngineSlot = -1
+
+	d := mkJob(2)
+	d.EngineSlot = 0
+	if _, ok := m.WaitingFor(d); ok || len(m.Held(d)) != 0 {
+		t.Fatalf("reused slot not clean: waiting=%v held=%v", ok, m.Held(d))
+	}
+	if chain, cycle := m.DependencyChain(d); cycle || len(chain) != 1 || chain[0] != d {
+		t.Fatalf("chain of a fresh job = %v (cycle %v)", chain, cycle)
+	}
+	for _, obj := range []int{1, 0} {
+		if granted, _, err := m.TryAcquire(d, obj); err != nil || !granted {
+			t.Fatalf("reused slot acquiring %d: granted=%v err=%v", obj, granted, err)
+		}
+	}
+	if held := m.Held(d); !slices.Equal(held, []int{1, 0}) {
+		t.Fatalf("held = %v, want [1 0]", held)
+	}
+	// c waits on d: the walk reaches d through the slot object 0 kept.
+	if granted, _, _ := m.TryAcquire(c, 0); granted {
+		t.Fatal("object 0 should be held by d")
+	}
+	if chain, cycle := m.DependencyChain(c); cycle || !slices.Equal(chain, []*task.Job{d, c}) {
+		t.Fatalf("chain(c) = %v (cycle %v), want [d c]", chain, cycle)
+	}
+
+	// Reusing d's slot while d still holds its locks is a shared slot.
+	e := mkJob(3)
+	e.EngineSlot = d.EngineSlot
+	if _, _, err := m.TryAcquire(e, 2); !errors.Is(err, ErrState) {
+		t.Fatalf("acquire through a slot whose job still holds locks: err = %v", err)
+	}
+}
+
 func TestDependencyChainLinear(t *testing.T) {
 	// Paper §3.1 example: T1 waits on R1 held by T2; T2 waits on R2 held
 	// by T3; chain(T1) = ⟨T3, T2, T1⟩.

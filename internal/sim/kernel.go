@@ -133,7 +133,13 @@ type kernel struct {
 	busyUntil   rtime.Time
 	dispatchSeq int64
 
-	rsSlab  []runState  // per-job run states, indexed by Job.EngineSlot
+	// rsSlab holds the live jobs' run states, indexed by Job.EngineSlot.
+	// A job takes a slot at release, from the LIFO free list when it is
+	// not empty, and returns it at departure, so the slab (like the
+	// resource map's job table) grows to the peak live count, not the
+	// arrival count.
+	rsSlab  []runState
+	free    []int32     // departed jobs' slots, reused last-in first-out
 	scratch []*task.Job // stochastic pick/shuffle scratch (reused)
 
 	finished bool
@@ -169,7 +175,7 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		so.SetObserver(obs)
 	}
 	traces := make([]uam.Trace, len(cfg.Tasks))
-	injected := make([][]bool, len(cfg.Tasks))
+	var injected [][]bool // per task, allocated at the first injected flags
 	arrivals := 0
 	for i, t := range cfg.Tasks {
 		if cfg.Arrivals != nil {
@@ -186,11 +192,19 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		// Fault injection perturbs the releases AFTER generation (or on
 		// top of explicit traces), keyed purely by (plan seed, task id,
 		// arrival index) so every engine perturbs a task identically.
-		traces[i], injected[i] = cfg.Fault.PerturbArrivals(t.ID, traces[i], cfg.Horizon)
+		var inj []bool
+		traces[i], inj = cfg.Fault.PerturbArrivals(t.ID, traces[i], cfg.Horizon)
+		if inj != nil {
+			if injected == nil {
+				injected = make([][]bool, len(cfg.Tasks))
+			}
+			injected[i] = inj
+		}
 		arrivals += len(traces[i])
 	}
-	// The resource map's tables are indexed by object id and by
-	// EngineSlot, so both are sized here once; lock records stay
+	// The resource map's object table is indexed by object id and sized
+	// here once. Its job table, like the run-state slab, is indexed by
+	// EngineSlot and starts at initialSlots; lock records stay
 	// unallocated until the run first takes a lock.
 	objects := 0
 	for _, t := range cfg.Tasks {
@@ -200,17 +214,15 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 			}
 		}
 	}
-	k.res = resource.NewSizedMap(arrivals, objects)
+	k.res = resource.NewSizedMap(initialSlots, objects)
 	if cfg.Stoch.Active() {
-		// Live jobs never exceed total arrivals, so the scratch sized
-		// here keeps the stochastic path allocation-free too.
-		k.scratch = make([]*task.Job, 0, arrivals)
+		// The pick scratch holds at most the live jobs; it grows with
+		// the slab, amortized, to the peak live count.
+		k.scratch = make([]*task.Job, 0, initialSlots)
 	}
-	// Jobs live in one slab in release order and are numbered
-	// (EngineSlot) by their place in it, so the jobs and run states the
-	// loop touches together sit together. The full-width runState slab
-	// keeps the per-job path allocation-free.
-	k.rsSlab = make([]runState, arrivals)
+	// Jobs live in one slab in release order; each takes an EngineSlot
+	// (its run state's index) only while it is live.
+	k.rsSlab = make([]runState, 0, initialSlots)
 	slab := make([]task.Job, arrivals)
 	jobs := make([]*task.Job, arrivals)
 	sfx := make([]*task.Suffix, len(cfg.Tasks))
@@ -221,9 +233,8 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		i, n := int(x.task), int(x.seq)
 		j := &slab[r]
 		sfx[i].Init(j, n, x.at)
-		j.EngineSlot = int32(r)
-		k.rsSlab[r].entrySeg = -1
-		if injected[i] != nil && injected[i][n] {
+		j.EngineSlot = -1
+		if injected != nil && injected[i] != nil && injected[i][n] {
 			j.Injected = true
 		}
 		j.SetOverrun(cfg.Fault.Overrun(cfg.Tasks[i].ID, n, sfx[i].Compute()))
@@ -284,8 +295,32 @@ func releaseOrder(traces []uam.Trace, total int) []release {
 	return src
 }
 
-// rs returns j's run state, numbered by init when it created j.
+// initialSlots is the run-state slab's (and the resource map's job
+// table's) starting capacity; a run with more live jobs at once grows
+// both by amortized append.
+const initialSlots = 16
+
+// rs returns j's run state. j must be live: a departed job's slot is
+// −1, so a stray lookup panics instead of reading another job's state.
 func (k *kernel) rs(j *task.Job) *runState { return &k.rsSlab[j.EngineSlot] }
+
+// takeSlot gives the job released now a fresh run state: the most
+// recently freed slot, or a new one at the end of the slab.
+//
+//rtlint:noalloc per-event path
+func (k *kernel) takeSlot(j *task.Job) {
+	var slot int32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		slot = int32(len(k.rsSlab))
+		//rtlint:ignore noalloc grows to the peak live-job count; amortized
+		k.rsSlab = append(k.rsSlab, runState{})
+	}
+	k.rsSlab[slot] = runState{entrySeg: -1}
+	j.EngineSlot = slot
+}
 
 // stampEntry records the first arrival at the current access boundary.
 func (k *kernel) stampEntry(j *task.Job, at rtime.Time) {
@@ -381,6 +416,7 @@ func (k *kernel) step() (ev event, resched, ok bool) {
 	switch ev.kind {
 	case evArrival:
 		j := ev.job
+		k.takeSlot(j)
 		//rtlint:ignore noalloc bounded by total arrivals; reaches steady capacity at warm-up
 		k.live = append(k.live, j)
 		k.res1.Arrivals++
@@ -584,11 +620,17 @@ func (k *kernel) stop(cpu int) {
 	k.running[cpu] = nil
 }
 
+// removeLive retires a departing job: it leaves the live set and gives
+// its slot back. The caller has already emptied the job's resource
+// record (ReleaseAll), so the next job to take the slot starts clean.
 func (k *kernel) removeLive(j *task.Job) {
 	for i, x := range k.live {
 		if x == j {
 			//rtlint:ignore noalloc copy-down within the same backing array; never grows
 			k.live = append(k.live[:i], k.live[i+1:]...)
+			//rtlint:ignore noalloc grows to the peak live-job count; amortized
+			k.free = append(k.free, j.EngineSlot)
+			j.EngineSlot = -1
 			return
 		}
 	}

@@ -343,8 +343,10 @@ type Job struct {
 	State State
 
 	// Slots index per-job state kept in slices instead of maps keyed by
-	// *Job. EngineSlot is set once by the engine that creates the job
-	// (its position in the engine's run-state slab). SchedSlot is
+	// *Job. EngineSlot is the job's index in its engine's run-state
+	// slab while it is live: the engine assigns it at release, reusing
+	// the slot of a departed job, and sets it back to −1 at departure
+	// (also its value before release). SchedSlot is
 	// scheduler scratch, rewritten on every pass; it may be stale, so a
 	// scheduler checks it against its own slot table before trusting it.
 	EngineSlot int32
