@@ -166,6 +166,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzScheduleRollback$$' -fuzztime $(FUZZTIME) ./internal/rua
 	$(GO) test -run NONE -fuzz '^FuzzEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz '^FuzzHistMatchesSorted$$' -fuzztime $(FUZZTIME) ./internal/metrics/hist
+	$(GO) test -run NONE -fuzz '^FuzzFixedMatchesStrconv$$' -fuzztime $(FUZZTIME) ./internal/report
 
 # Serving-mode smoke: boot rtsimd, submit a fault-injected trace spec
 # twice over real HTTP (the second must be an exact cache hit), stream
@@ -199,29 +200,40 @@ serve-smoke:
 	cmp serve-smoke-out/served/trace.summary.txt serve-smoke-out/batch/trace.summary.txt
 	@echo "serve smoke OK: served bytes byte-identical to batch, cache counters exact"
 
-# Layer budget of one n=10⁴ uniprocessor run: CPU- and heap-profile
-# BenchmarkScaleEngineRun/n=10000 and print, per layer, the share of all
-# CPU samples and of all allocated bytes (alloc_space) whose stack passes
-# through it (pprof -top -focus). Layers nest (sim.New calls into uam,
-# task and tuf), so shares add up to more than 100%. The test binary and
-# profiles stay in the gitignored .profile-layers/; inspect them with
-# `go tool pprof .profile-layers/repro.test .profile-layers/cpu.pprof`
-# (or mem.pprof with -sample_index=alloc_space).
-PROFILE_LAYERS = experiment task tuf uam sim rtime/wheel rua resource
+# Layer budget of two engine benchmarks: one n=10⁴ uniprocessor run
+# (BenchmarkScaleEngineRun/n=10000: arrival setup and the event loop)
+# and the overload twin (BenchmarkOverloadEngineRun: ten tasks at AL 1.2
+# for 400 windows, both modes, observed: RUA passes and the obs fold).
+# Each is CPU- and heap-profiled over 20 runs, and a table per benchmark
+# prints, per layer, the share of all CPU samples and of all allocated
+# bytes (alloc_space) whose stack passes through it (pprof -top -focus).
+# Layers nest (sim.New calls into uam, task and tuf), so shares add up
+# to more than 100%. The test binary and profiles stay in the gitignored
+# .profile-layers/; inspect them with `go tool pprof
+# .profile-layers/repro.test .profile-layers/scale.cpu.pprof` (or a
+# mem.pprof with -sample_index=alloc_space).
+PROFILE_LAYERS = experiment task tuf uam sim rtime/wheel rua resource obs
 profile-layers:
 	@mkdir -p .profile-layers
-	$(GO) test -run NONE -bench '^BenchmarkScaleEngineRun$$/^n=10000$$' -benchtime 20x \
-	  -o .profile-layers/repro.test -cpuprofile cpu.pprof -memprofile mem.pprof -memprofilerate 4096 \
-	  -outputdir .profile-layers . > /dev/null
+	$(GO) test -c -o .profile-layers/repro.test .
 	@share() { $(GO) tool pprof -top -nodefraction=0 -sample_index="$$2" -focus="$$1" .profile-layers/repro.test \
 	  .profile-layers/$$3 2>/dev/null | awk '/^Showing nodes accounting for/ { sub(",", "", $$6); print $$6 }'; }; \
 	total() { $(GO) tool pprof -top -sample_index="$$1" .profile-layers/repro.test .profile-layers/$$2 2>/dev/null | \
 	  awk '/^Showing nodes accounting for/ { print $$8 }'; }; \
-	shares() { printf '| %s | %s | %s |\n' "$$1" "$$(share "$$2" cpu cpu.pprof)" "$$(share "$$2" alloc_space mem.pprof)"; }; \
-	printf '| layer | CPU share | alloc_space share |\n|---|---|---|\n'; \
-	for l in $(PROFILE_LAYERS); do shares "\`$$l\`" "^repro/internal/$$l\."; done; \
-	printf '| runtime GC/malloc | %s | — |\n' "$$(share '^runtime\.(mallocgc|gcBgMarkWorker|gcAssistAlloc|bgsweep|bgscavenge)$$' cpu cpu.pprof)"; \
-	printf '| total of 20 runs | %s | %s |\n' "$$(total cpu cpu.pprof)" "$$(total alloc_space mem.pprof)"
+	for run in 'scale:^BenchmarkScaleEngineRun$$/^n=10000$$' 'overload:^BenchmarkOverloadEngineRun$$'; do \
+	  b=$${run%%:*}; \
+	  ./.profile-layers/repro.test -test.run NONE -test.bench "$${run#*:}" -test.benchtime 20x \
+	    -test.outputdir .profile-layers -test.cpuprofile $$b.cpu.pprof -test.memprofile $$b.mem.pprof \
+	    -test.memprofilerate 4096 > /dev/null || exit 1; \
+	  printf '\n%s\n\n| layer | CPU share | alloc_space share |\n|---|---|---|\n' "$$b"; \
+	  for l in $(PROFILE_LAYERS); do \
+	    printf '| %s | %s | %s |\n' "\`$$l\`" "$$(share "^repro/internal/$$l\." cpu $$b.cpu.pprof)" \
+	      "$$(share "^repro/internal/$$l\." alloc_space $$b.mem.pprof)"; \
+	  done; \
+	  printf '| runtime GC/malloc | %s | — |\n' \
+	    "$$(share '^runtime\.(mallocgc|gcBgMarkWorker|gcAssistAlloc|bgsweep|bgscavenge)$$' cpu $$b.cpu.pprof)"; \
+	  printf '| total of 20 runs | %s | %s |\n' "$$(total cpu $$b.cpu.pprof)" "$$(total alloc_space $$b.mem.pprof)"; \
+	done
 
 # CPU + heap profiles of the canonical metrics fold; inspect with
 # `go tool pprof cpu.pprof`.

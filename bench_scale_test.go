@@ -8,6 +8,8 @@
 //	                              steady state; warmed scratch)
 //	BenchmarkScaleSelectTopK    → SelectTopKAbort (the global engine's per-event call)
 //	BenchmarkScaleEngineRun     → full uniprocessor event loop, 3 windows
+//	BenchmarkOverloadEngineRun  → 10 tasks at AL 1.2 for 400 windows, both
+//	                              modes, observed by an obs.Pipeline
 //
 // The timing wheel's before/after pair lives next to it in
 // internal/rtime/wheel (BenchmarkWheelChurn vs BenchmarkRefChurn).
@@ -19,12 +21,15 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
+	"repro/internal/metrics/series"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/rtime"
 	"repro/internal/rua"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/trace/span"
 	"repro/internal/uam"
 )
 
@@ -123,4 +128,63 @@ func BenchmarkScaleEngineRun(b *testing.B) {
 			b.ReportMetric(float64(released), "jobs/run")
 		})
 	}
+}
+
+// BenchmarkOverloadEngineRun is the in-repo twin of the layer
+// benchmark's overload workload: ten paper-sized tasks at AL 1.2 for
+// 400 maximum critical times, run once lock-free and once lock-based
+// under RUA with an obs.Pipeline (series windows, a 4096-event flight
+// ring, span folding) attached. RUA passes and the observer fold do
+// the work; a task has about a_i jobs live at a time, so what a run
+// allocates per arrival shows in B/op.
+func BenchmarkOverloadEngineRun(b *testing.B) {
+	tasks, err := experiment.WorkloadSpec{
+		NumTasks: experiment.PaperTasks, NumObjects: 10, AccessesPerJob: 4,
+		MeanExec: 500 * rtime.Microsecond, TargetAL: 1.2,
+		Class: experiment.StepTUFs, MaxArrivals: 2, SpreadPhases: true,
+	}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var maxC rtime.Duration
+	for _, tk := range tasks {
+		maxC = max(maxC, tk.CriticalTime())
+	}
+	horizon := rtime.Time(400 * int64(maxC))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var released, spans int64
+	for i := 0; i < b.N; i++ {
+		released, spans = 0, 0
+		for _, mode := range []sim.Mode{sim.LockFree, sim.LockBased} {
+			s := rua.NewLockFree()
+			if mode == sim.LockBased {
+				s = rua.NewLockBased()
+			}
+			pipe, err := obs.NewPipeline(obs.Config{
+				Horizon: horizon, CPUs: 1,
+				SeriesWindow: series.WindowFor(horizon, 0),
+				Flight:       4096,
+				OnSpan:       func(*span.JobSpan) { spans++ },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := sim.Run(sim.Config{
+				Tasks: task.CloneAll(tasks), Scheduler: s, Mode: mode,
+				R: experiment.DefaultR, S: experiment.DefaultS, OpCost: experiment.DefaultOpCost,
+				Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: 1,
+				ConservativeRetry: true, Observer: pipe.Observe,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pipe.Finish(); err != nil {
+				b.Fatal(err)
+			}
+			released += res.Arrivals
+		}
+	}
+	b.ReportMetric(float64(released), "jobs/run")
+	b.ReportMetric(float64(spans), "spans/run")
 }

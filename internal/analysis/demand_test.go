@@ -91,6 +91,7 @@ func TestQuickSchedulableVerdictSound(t *testing.T) {
 			R: acc, S: acc, OpCost: 0,
 			Horizon:     200_000,
 			ArrivalKind: uam.KindBursty, Seed: seed, ConservativeRetry: false,
+			KeepJobs: true,
 		})
 		if err != nil {
 			return false

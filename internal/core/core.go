@@ -209,6 +209,8 @@ func (b *System) Run(horizon rtime.Duration) (*Report, error) {
 		ArrivalKind:       b.kind,
 		Seed:              b.seed,
 		ConservativeRetry: b.conserv,
+		// Report.Result.Jobs is the per-job record callers inspect.
+		KeepJobs: true,
 	}
 	if b.recorder != nil {
 		cfg.Observer = b.recorder.Observer()

@@ -377,6 +377,7 @@ func Thm2(p Profile) ([]*Table, error) {
 	// Per-seed runs are independent; fan out and fold the per-task retry
 	// maxima afterwards (max is commutative, so the merge is order-free).
 	perSeed, err := runSweep(p, []sweepPoint{bursty}, []variant{lockFreeRUA}, func(cfg sim.Config, _, _ int) ([]int64, error) {
+		cfg.KeepJobs = true // the per-task maxima read every job
 		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, err

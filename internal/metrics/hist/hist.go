@@ -83,15 +83,19 @@ func New(bounds []int64) (*Hist, error) {
 				ErrBounds, i-1, bounds[i-1], i, bounds[i])
 		}
 	}
-	b := make([]int64, len(bounds))
-	copy(b, bounds)
+	return newHist(append([]int64(nil), bounds...)), nil
+}
+
+// newHist returns an empty histogram over bounds, which it keeps: no
+// method writes to them, so histograms may share one table.
+func newHist(bounds []int64) *Hist {
 	return &Hist{
-		bounds:   b,
-		counts:   make([]int64, len(b)+1),
+		bounds:   bounds,
+		counts:   make([]int64, len(bounds)+1),
 		min:      math.MaxInt64,
 		max:      math.MinInt64,
 		exactCap: DefaultExactCap,
-	}, nil
+	}
 }
 
 // MustNew is New, panicking on invalid bounds; for fixed literal
@@ -126,17 +130,25 @@ func Linear(lo, hi int64, n int) (*Hist, error) {
 }
 
 // Exp2 builds power-of-two buckets 0, 1, 2, 4, … up to at least hi —
-// the natural shape for long-tailed counts like per-job retries.
+// the natural shape for long-tailed counts like per-job retries. Its
+// bounds are a prefix of one shared table, so it allocates only the
+// counts.
 func Exp2(hi int64) *Hist {
-	bounds := []int64{0}
-	for b := int64(1); ; b *= 2 {
-		bounds = append(bounds, b)
-		if b >= hi || b > math.MaxInt64/2 {
-			break
-		}
+	n := 2 // 0 and 1
+	for b := int64(1); b < hi && b <= math.MaxInt64/2; b *= 2 {
+		n++
 	}
-	return MustNew(bounds)
+	return newHist(exp2Bounds[:n:n])
 }
+
+// exp2Bounds is 0 followed by every power of two up to 2^62, the
+// largest Exp2 reaches.
+var exp2Bounds = func() (t [64]int64) {
+	for i := 1; i < len(t); i++ {
+		t[i] = 1 << (i - 1)
+	}
+	return t
+}()
 
 // SetExactCap overrides the exact-quantile sample cap. Must be called
 // before the first Add; a cap of 0 disables sample retention entirely.

@@ -227,3 +227,27 @@ func TestSetExactCapGuards(t *testing.T) {
 	}()
 	h.SetExactCap(10)
 }
+
+// TestExp2Bounds: Exp2 reads its bounds off the shared table, which
+// must give the bounds the doubling loop it replaced builds: 0, then
+// powers of two up to the first at or above hi, capped at 2^62.
+func TestExp2Bounds(t *testing.T) {
+	for _, hi := range []int64{math.MinInt64, -1, 0, 1, 2, 3, 4, 5, 1000, 1 << 12, 1<<12 + 1, 1 << 26, 1 << 61, 1<<61 + 1, 1 << 62, math.MaxInt64} {
+		want := []int64{0}
+		for b := int64(1); ; b *= 2 {
+			want = append(want, b)
+			if b >= hi || b > math.MaxInt64/2 {
+				break
+			}
+		}
+		h := Exp2(hi)
+		if len(h.bounds) != len(want) || cap(h.bounds) != len(want) {
+			t.Fatalf("Exp2(%d): %d bounds (cap %d), want %d", hi, len(h.bounds), cap(h.bounds), len(want))
+		}
+		for i := range want {
+			if h.bounds[i] != want[i] {
+				t.Fatalf("Exp2(%d): bound %d = %d, want %d", hi, i, h.bounds[i], want[i])
+			}
+		}
+	}
+}

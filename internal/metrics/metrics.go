@@ -36,46 +36,25 @@ type RunStats struct {
 	Blockings   int64
 }
 
-// Analyze digests a simulation result. Only jobs whose critical time lies
-// within the horizon are counted — jobs released near the end whose
-// outcome the simulation could not observe would otherwise bias AUR and
-// CMR downward.
+// Analyze digests a simulation result from its per-job sums
+// (sim.Result.Sums). Only jobs whose critical time lies within the
+// horizon are counted — jobs released near the end whose outcome the
+// simulation could not observe would otherwise bias AUR and CMR
+// downward.
 func Analyze(r sim.Result) RunStats {
-	var st RunStats
-	var sumSojourn rtime.Duration
-	var totalU, maxU float64
-	for _, j := range r.Jobs {
-		st.Retries += j.Retries
-		st.Blockings += j.Blockings
-		if j.AbsoluteCriticalTime() > r.Horizon {
-			continue
-		}
-		st.Released++
-		maxU += j.Task.TUF.MaxUtility()
-		switch j.State {
-		case task.Completed:
-			st.Completed++
-			totalU += j.AccruedUtility()
-			s := j.Sojourn()
-			sumSojourn += s
-			if s > st.MaxSojourn {
-				st.MaxSojourn = s
-			}
-			if j.MetCriticalTime() {
-				st.Met++
-			}
-		case task.Aborted, task.Aborting:
-			st.Aborted++
-		}
+	s := r.Sums
+	st := RunStats{
+		Released: s.Released, Completed: s.Completed, Met: s.Met, Aborted: s.Aborted,
+		MaxSojourn: s.MaxSojourn, Retries: s.Retries, Blockings: s.Blockings,
 	}
-	if maxU > 0 {
-		st.AUR = totalU / maxU
+	if s.MaxUtility > 0 {
+		st.AUR = s.AccruedUtility / s.MaxUtility
 	}
 	if st.Released > 0 {
 		st.CMR = float64(st.Met) / float64(st.Released)
 	}
 	if st.Completed > 0 {
-		st.MeanSojourn = sumSojourn / rtime.Duration(st.Completed)
+		st.MeanSojourn = s.SojournSum / rtime.Duration(st.Completed)
 	}
 	return st
 }
@@ -96,6 +75,7 @@ type TaskStats struct {
 
 // PerTask digests a simulation result task by task, using the same
 // horizon-censoring rule as Analyze. Results are ordered by task id.
+// It reads Result.Jobs, so the run must keep its jobs (KeepJobs).
 func PerTask(r sim.Result) []TaskStats {
 	acc := map[int]*TaskStats{}
 	maxU := map[int]float64{}

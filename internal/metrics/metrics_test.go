@@ -27,7 +27,11 @@ func mkResult() sim.Result {
 	j2.State = task.Aborted
 	j2.AbortedAt = 1100
 	j3 := task.NewJob(tk, 2, 9800) // critical time 10800 > horizon
-	return sim.Result{Jobs: []*task.Job{j1, j2, j3}, Horizon: 10_000}
+	r := sim.Result{Jobs: []*task.Job{j1, j2, j3}, Horizon: 10_000}
+	for _, j := range r.Jobs {
+		r.Sums.Fold(j, r.Horizon)
+	}
+	return r
 }
 
 func TestAnalyze(t *testing.T) {

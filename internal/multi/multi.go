@@ -184,8 +184,8 @@ func Run(cfg sim.Config, cpus int, newScheduler func() sched.Scheduler) (Result,
 		}
 	}
 	res := Result{Assignment: assign, PerCPU: make([]sim.Result, cpus)}
-	// metrics.Analyze reads only the jobs and the horizon; per-CPU
-	// counters stay in PerCPU.
+	// metrics.Analyze reads only the sums; per-CPU counters stay in
+	// PerCPU.
 	merged := sim.Result{Horizon: cfg.Horizon}
 
 	// Build one stepper engine per non-empty partition. Each engine only
@@ -209,6 +209,9 @@ func Run(cfg sim.Config, cpus int, newScheduler func() sched.Scheduler) (Result,
 		pcfg := cfg
 		pcfg.Tasks, pcfg.Scheduler = part, newScheduler()
 		pcfg.Seed, pcfg.StochCPU = cfg.Seed+int64(cpu)*104729, cpu
+		// The merged sums fold every partition's jobs, CPU by CPU, in
+		// one pass: the float sums depend on that order.
+		pcfg.KeepJobs = true
 		if cfg.Observer != nil {
 			pcfg.Observer = func(ev trace.Event) {
 				ev.CPU = cpu
@@ -261,7 +264,9 @@ func Run(cfg sim.Config, cpus int, newScheduler func() sched.Scheduler) (Result,
 			return Result{}, fmt.Errorf("multi: cpu %d: %w", cpu, r.Err)
 		}
 		res.PerCPU[cpu] = r
-		merged.Jobs = append(merged.Jobs, r.Jobs...)
+		for _, j := range r.Jobs {
+			merged.Sums.Fold(j, cfg.Horizon)
+		}
 	}
 	res.Stats = metrics.Analyze(merged)
 	return res, nil

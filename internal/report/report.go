@@ -129,7 +129,7 @@ type Report struct {
 
 // fmtFloat renders v with four significant decimals, the fixed
 // precision of every derived float in the report.
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+func fmtFloat(v float64) string { return formatFixed(v, 4) }
 
 // distSummaryCols are the per-distribution summary columns.
 var distSummaryCols = []string{"n", "mean", "p50", "p90", "p95", "p99", "p999", "max", "bound"}

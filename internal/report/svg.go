@@ -44,7 +44,7 @@ type Chart struct {
 var seriesColors = []string{"--series-1", "--series-2", "--series-3", "--series-4"}
 
 // fmtCoord renders an SVG coordinate.
-func fmtCoord(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+func fmtCoord(v float64) string { return formatFixed(v, 2) }
 
 // fmtTick renders an axis tick value compactly.
 func fmtTick(v float64) string { return strconv.FormatFloat(v, 'g', 4, 64) }

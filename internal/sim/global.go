@@ -35,9 +35,11 @@ import (
 type GlobalEngine struct {
 	kernel
 	sched   sched.TopK
-	pending []*task.Job        // the last pass's ranking, applied by evDispatch
-	selbuf  map[*task.Job]bool // applyAssignment scratch: selected set
-	plcbuf  map[*task.Job]bool // applyAssignment scratch: placed set
+	pending []*task.Job // the last pass's ranking, applied by evDispatch
+	// epoch names the set applyAssignment is building: a live job is in
+	// it when its run state's mark equals epoch. Each set takes a new
+	// epoch, so no set is ever cleared.
+	epoch uint32
 }
 
 // NewGlobal builds a global multiprocessor engine that runs cfg on cpus
@@ -85,11 +87,7 @@ func NewGlobal(cfg Config, cpus int) (*GlobalEngine, error) {
 			return nil, fmt.Errorf("%w: task %d uses explicit Lock/Unlock sections (unsupported by the global engine)", ErrConfig, t.ID)
 		}
 	}
-	e := &GlobalEngine{
-		sched:  topk,
-		selbuf: make(map[*task.Job]bool, cpus),
-		plcbuf: make(map[*task.Job]bool, cpus),
-	}
+	e := &GlobalEngine{sched: topk}
 	if err := e.init(cfg, cpus, true, topk); err != nil {
 		return nil, err
 	}
@@ -116,7 +114,7 @@ func (e *GlobalEngine) StepNext() bool {
 	}
 	switch ev.kind {
 	case evCritical:
-		if !ev.job.Done() {
+		if ev.job != nil && !ev.job.Done() {
 			e.abort(ev.job)
 			resched = true
 		}
@@ -202,32 +200,31 @@ func (e *GlobalEngine) reschedule() {
 //
 //rtlint:noalloc steady state carves from pre-sized slabs and reused scratch
 func (e *GlobalEngine) applyAssignment(ranked []*task.Job) {
-	selected := e.selbuf
-	clear(selected)
+	// The selected set. Every job marked or tested is live: departed
+	// jobs are skipped before the test.
+	e.epoch++
 	count := 0
 	for _, j := range ranked {
 		if count == len(e.running) {
 			break
 		}
-		if j.Done() || j.State == task.Aborting || selected[j] || !e.runnableNow(j) {
+		if j.Done() || j.State == task.Aborting || e.marked(j) || !e.runnableNow(j) {
 			continue
 		}
-		//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
-		selected[j] = true
+		e.rs(j).mark = e.epoch
 		count++
 	}
 	// Stop de-selected runners.
 	for cpu, r := range e.running {
-		if r != nil && !selected[r] {
+		if r != nil && !e.marked(r) {
 			e.stop(cpu)
 		}
 	}
-	placed := e.plcbuf
-	clear(placed)
+	// The placed set.
+	e.epoch++
 	for _, r := range e.running {
 		if r != nil {
-			//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
-			placed[r] = true
+			e.rs(r).mark = e.epoch
 		}
 	}
 	// Fill free CPUs from the ranked list, skipping jobs that block at
@@ -237,15 +234,18 @@ func (e *GlobalEngine) applyAssignment(ranked []*task.Job) {
 		if cpu < 0 || e.fail != nil {
 			break
 		}
-		if j.Done() || j.State == task.Aborting || placed[j] {
+		if j.Done() || j.State == task.Aborting || e.marked(j) {
 			continue
 		}
 		if e.tryDispatch(cpu, j) {
-			//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
-			placed[j] = true
+			e.rs(j).mark = e.epoch
 		}
 	}
 }
+
+// marked reports whether live job j is in the set applyAssignment is
+// building.
+func (e *GlobalEngine) marked(j *task.Job) bool { return e.rs(j).mark == e.epoch }
 
 func (e *GlobalEngine) freeCPU() int {
 	for cpu, r := range e.running {

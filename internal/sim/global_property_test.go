@@ -65,7 +65,7 @@ func TestQuickGlobalInvariants(t *testing.T) {
 		res, err := RunGlobal(Config{
 			Tasks: tasks, Scheduler: s, Mode: mode,
 			R: 40, S: 7, OpCost: 0, Horizon: horizon,
-			ArrivalKind: uam.Kind(seed % 3), Seed: seed,
+			ArrivalKind: uam.Kind(seed % 3), Seed: seed, KeepJobs: true,
 		}, cpus)
 		if err != nil {
 			t.Logf("engine error (cpus=%d mode=%v sched=%s): %v", cpus, mode, s.Name(), err)
@@ -208,6 +208,7 @@ func TestGlobalSingleCPUMatchesUniprocessorEngine(t *testing.T) {
 		cfg := Config{
 			Tasks: mk(), Scheduler: newRUA(), Mode: mode,
 			R: 40, S: 7, Horizon: horizon, ArrivalKind: kind, Seed: seed,
+			KeepJobs: true,
 		}
 		g, err := RunGlobal(cfg, 1)
 		if err != nil {

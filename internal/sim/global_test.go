@@ -27,6 +27,7 @@ func globalStaged(t *testing.T, cfg Config, cpus int, arrivals map[int][]rtime.T
 		traces[ti] = append(traces[ti], times...)
 	}
 	cfg.Arrivals = traces
+	cfg.KeepJobs = true
 	r, err := RunGlobal(cfg, cpus)
 	if err != nil {
 		t.Fatalf("global engine error: %v", err)
@@ -249,7 +250,7 @@ func globalStochRun(t *testing.T, plan *stoch.Plan) (Result, []trace.Event) {
 		Tasks: globalStochWorkload(), Scheduler: rua.NewLockFree(),
 		Mode: LockFree, R: 150, S: 5, OpCost: 0.02,
 		Horizon: 100_000, ArrivalKind: uam.KindJittered, Seed: 42,
-		Stoch: plan, Observer: rec.Record,
+		Stoch: plan, Observer: rec.Record, KeepJobs: true,
 	}, 2)
 	if err != nil {
 		t.Fatalf("global stoch run: %v", err)

@@ -98,12 +98,15 @@ type event struct {
 type runState struct {
 	accessStart rtime.Time // when the current lock-free access began consuming
 	midAccess   bool       // stopped while inside a lock-free access
+	mark        uint32     // the global policy's assignment mark (GlobalEngine.epoch)
 	stopSeq     int64      // dispatchSeq at the moment it was stopped
 
 	entrySeg  int        // segment index of the stamped access entry (-1 none)
 	entryTime rtime.Time // when the job first reached that access boundary
 
 	casAttempt int // phantom-CAS failures suffered on the current access
+
+	rank int64 // release rank: the job's entry in the utility window
 }
 
 // kernel is the engine state and mechanism shared by both dispatch
@@ -142,7 +145,26 @@ type kernel struct {
 	free    []int32     // departed jobs' slots, reused last-in first-out
 	scratch []*task.Job // stochastic pick/shuffle scratch (reused)
 
+	// Job records are made at release, from spare when it is not empty,
+	// and go back to spare at departure, so a run allocates records for
+	// its peak live count. Under KeepJobs every release takes the next
+	// record of slab and is listed in jobs, and none is reused.
+	spare    []*task.Job
+	slab     []task.Job
+	jobs     []*task.Job
+	sfx      []*task.Suffix // per task, for initialising its jobs
+	injected [][]bool       // per task and invocation: release perturbed by a fault
+
+	// lastRun is the uniprocessor policy's last dispatched job, cleared
+	// when that job departs so a reused record is never taken for it.
+	lastRun *task.Job
+
+	// util folds the departed jobs' accrued utility into res1.Sums in
+	// release order.
+	util utilWindow
+
 	finished bool
+	sealed   bool // Finish has folded the jobs still live
 
 	res1 Result
 	fail error
@@ -175,7 +197,6 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		so.SetObserver(obs)
 	}
 	traces := make([]uam.Trace, len(cfg.Tasks))
-	var injected [][]bool // per task, allocated at the first injected flags
 	arrivals := 0
 	for i, t := range cfg.Tasks {
 		if cfg.Arrivals != nil {
@@ -195,10 +216,10 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		var inj []bool
 		traces[i], inj = cfg.Fault.PerturbArrivals(t.ID, traces[i], cfg.Horizon)
 		if inj != nil {
-			if injected == nil {
-				injected = make([][]bool, len(cfg.Tasks))
+			if k.injected == nil {
+				k.injected = make([][]bool, len(cfg.Tasks))
 			}
-			injected[i] = inj
+			k.injected[i] = inj
 		}
 		arrivals += len(traces[i])
 	}
@@ -220,25 +241,16 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		// the slab, amortized, to the peak live count.
 		k.scratch = make([]*task.Job, 0, initialSlots)
 	}
-	// Jobs live in one slab in release order; each takes an EngineSlot
-	// (its run state's index) only while it is live.
+	// A job takes an EngineSlot (its run state's index) and a record
+	// only while it is live.
 	k.rsSlab = make([]runState, 0, initialSlots)
-	slab := make([]task.Job, arrivals)
-	jobs := make([]*task.Job, arrivals)
-	sfx := make([]*task.Suffix, len(cfg.Tasks))
-	for i, t := range cfg.Tasks {
-		sfx[i] = t.Suffix()
+	if cfg.KeepJobs {
+		k.slab = make([]task.Job, arrivals)
+		k.jobs = make([]*task.Job, 0, arrivals)
 	}
-	for r, x := range releaseOrder(traces, arrivals) {
-		i, n := int(x.task), int(x.seq)
-		j := &slab[r]
-		sfx[i].Init(j, n, x.at)
-		j.EngineSlot = -1
-		if injected != nil && injected[i] != nil && injected[i][n] {
-			j.Injected = true
-		}
-		j.SetOverrun(cfg.Fault.Overrun(cfg.Tasks[i].ID, n, sfx[i].Compute()))
-		jobs[r] = j
+	k.sfx = make([]*task.Suffix, len(cfg.Tasks))
+	for i, t := range cfg.Tasks {
+		k.sfx[i] = t.Suffix()
 	}
 	// The timing wheel holds a job's critical time from its release
 	// until that time passes. Critical times never exceed the UAM window
@@ -249,7 +261,7 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	for i, t := range cfg.Tasks {
 		pending += min(t.Arrival.A+1, len(traces[i]))
 	}
-	k.q.init(jobs, cpus, pending)
+	k.q.init(releaseOrder(traces, arrivals), cpus, pending)
 	return nil
 }
 
@@ -293,6 +305,32 @@ func releaseOrder(traces []uam.Trace, total int) []release {
 		src, dst = dst, src
 	}
 	return src
+}
+
+// newJob makes the job that x releases.
+//
+//rtlint:noalloc per-event path
+func (k *kernel) newJob(x release) *task.Job {
+	var j *task.Job
+	if k.cfg.KeepJobs {
+		j = &k.slab[len(k.jobs)]
+		//rtlint:ignore noalloc appends within the capacity init sized to the arrivals
+		k.jobs = append(k.jobs, j)
+	} else if n := len(k.spare); n > 0 {
+		j = k.spare[n-1]
+		k.spare = k.spare[:n-1]
+		*j = task.Job{} // Init requires the zero Job
+	} else {
+		//rtlint:ignore noalloc grows to the peak live-job count; amortized
+		j = new(task.Job)
+	}
+	i, n := int(x.task), int(x.seq)
+	k.sfx[i].Init(j, n, x.at)
+	if k.injected != nil && k.injected[i] != nil && k.injected[i][n] {
+		j.Injected = true
+	}
+	j.SetOverrun(k.cfg.Fault.Overrun(k.cfg.Tasks[i].ID, n, k.sfx[i].Compute()))
+	return j
 }
 
 // initialSlots is the run-state slab's (and the resource map's job
@@ -372,17 +410,20 @@ func (k *kernel) NextAt() (rtime.Time, bool) {
 // Err returns the engine's failure, if any.
 func (k *kernel) Err() error { return k.fail }
 
-// Finish seals and returns the result. Idempotent; call it after
-// StepNext reports the run is over (Run does).
+// Finish seals and returns the result: it folds the jobs still live
+// into the sums and stops the run. Idempotent; call it after StepNext
+// reports the run is over (Run does).
 func (k *kernel) Finish() Result {
-	k.res1.Jobs = k.q.arrivals[:k.q.released]
-	k.res1.Horizon = k.cfg.Horizon
-	k.res1.Err = k.fail
-	var retries int64
-	for _, j := range k.res1.Jobs {
-		retries += j.Retries
+	if !k.sealed {
+		k.sealed, k.finished = true, true
+		for _, j := range k.live {
+			k.fold(j)
+		}
+		k.res1.Jobs = k.jobs
+		k.res1.Horizon = k.cfg.Horizon
+		k.res1.Err = k.fail
+		k.res1.Retries = k.res1.Sums.Retries
 	}
-	k.res1.Retries = retries
 	return k.res1
 }
 
@@ -415,8 +456,9 @@ func (k *kernel) step() (ev event, resched, ok bool) {
 	}
 	switch ev.kind {
 	case evArrival:
-		j := ev.job
+		j := k.newJob(k.q.arrivals[k.q.released-1])
 		k.takeSlot(j)
+		k.rs(j).rank = k.util.open(k.res1.Sums.release(j, k.cfg.Horizon), &k.res1.Sums)
 		//rtlint:ignore noalloc bounded by total arrivals; reaches steady capacity at warm-up
 		k.live = append(k.live, j)
 		k.res1.Arrivals++
@@ -429,8 +471,16 @@ func (k *kernel) step() (ev event, resched, ok bool) {
 			k.res1.FaultOverruns++
 			k.emit(k.now, trace.FaultOverrun, j, -1, k.unbound)
 		}
-		k.q.push(j.AbsoluteCriticalTime(), evCritical, j)
+		j.CritSeq = k.q.push(j.AbsoluteCriticalTime(), evCritical, j)
 		resched = true
+	case evCritical:
+		// The event outlives its job. Once the job has departed its
+		// record may hold a later release, which this event must not
+		// touch: the engines see a stale event as one without a job.
+		// The settle above happens either way.
+		if ev.job.CritSeq != ev.seq {
+			ev.job = nil
+		}
 	case evPreempt:
 		// The stochastic quantum on ev.cpu expired with its dispatch
 		// round still current (a new round clears the slot): force a
@@ -620,19 +670,41 @@ func (k *kernel) stop(cpu int) {
 	k.running[cpu] = nil
 }
 
-// removeLive retires a departing job: it leaves the live set and gives
-// its slot back. The caller has already emptied the job's resource
-// record (ReleaseAll), so the next job to take the slot starts clean.
+// removeLive retires a departing job: it leaves the live set, its
+// outcome is folded into the sums, and its slot and record are given
+// back. The caller has already emptied the job's resource record
+// (ReleaseAll), so the next job to take the slot starts clean.
 func (k *kernel) removeLive(j *task.Job) {
 	for i, x := range k.live {
 		if x == j {
 			//rtlint:ignore noalloc copy-down within the same backing array; never grows
 			k.live = append(k.live[:i], k.live[i+1:]...)
+			k.fold(j)
 			//rtlint:ignore noalloc grows to the peak live-job count; amortized
 			k.free = append(k.free, j.EngineSlot)
 			j.EngineSlot = -1
+			if k.lastRun == j {
+				k.lastRun = nil
+			}
+			if !k.cfg.KeepJobs {
+				//rtlint:ignore noalloc grows to the peak live-job count; amortized
+				k.spare = append(k.spare, j)
+			}
 			return
 		}
+	}
+}
+
+// fold adds the outcome of j, which holds its slot, to the sums. A job
+// that does not count never held its rank open, so the utility window
+// may already have passed it and given its slot to a later rank: only
+// a counted job resolves its entry.
+//
+//rtlint:noalloc per-event path
+func (k *kernel) fold(j *task.Job) {
+	u, adds, counts := k.res1.Sums.depart(j, k.cfg.Horizon)
+	if counts {
+		k.util.resolve(k.rs(j).rank, u, adds, &k.res1.Sums)
 	}
 }
 

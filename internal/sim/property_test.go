@@ -92,7 +92,7 @@ func TestQuickEngineInvariants(t *testing.T) {
 			R: 40, S: 7, OpCost: 0.01,
 			Horizon:     horizon,
 			ArrivalKind: uam.Kind(kindRaw % 3), Seed: seed,
-			ConservativeRetry: true,
+			ConservativeRetry: true, KeepJobs: true,
 		})
 		if err != nil {
 			t.Logf("engine error (mode=%v sched=%s): %v", mode, s.Name(), err)
@@ -193,6 +193,7 @@ func TestQuickModesAgreeWithoutSharing(t *testing.T) {
 				Tasks: tasks, Scheduler: s, Mode: m,
 				R: 40, S: 40, OpCost: 0, Horizon: horizon,
 				ArrivalKind: uam.KindJittered, Seed: seed, ConservativeRetry: true,
+				KeepJobs: true,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -11,9 +11,10 @@ import (
 // event, but only critical times and abort-handler completions ever
 // enter one:
 //
-//   - Arrivals come from a cursor over the run's jobs in release order
-//     (time, task index, invocation). They were all scheduled before the
-//     run started, so at equal times they precede every run-time event.
+//   - Arrivals come from a cursor over the run's release records in
+//     release order (time, task index, invocation); the kernel makes the
+//     job when it pops one. They were all scheduled before the run
+//     started, so at equal times they precede every run-time event.
 //   - Each processor's next boundary, its stochastic quantum expiry and
 //     the current dispatch round's deferred dispatch live in slots.
 //     Arming a slot overwrites it, and opening a dispatch round clears
@@ -25,8 +26,8 @@ import (
 // Every run-time event draws its sequence number from one counter, in
 // the order the kernel schedules it. Zero marks an empty slot.
 type eventQueue struct {
-	arrivals []*task.Job // every job of the run, in release order
-	released int         // arrivals[:released] have been popped
+	arrivals []release // every release of the run, in release order
+	released int       // arrivals[:released] have been popped
 
 	boundary []slot // per processor: the running job's next boundary
 	preempt  []slot // per processor: the stochastic quantum's expiry
@@ -54,7 +55,7 @@ const (
 
 // init sizes the queue for cpus processors over arrivals (in release
 // order), with timed-event arena capacity for about hint events.
-func (q *eventQueue) init(arrivals []*task.Job, cpus, hint int) {
+func (q *eventQueue) init(arrivals []release, cpus, hint int) {
 	q.arrivals = arrivals
 	q.boundary = make([]slot, cpus)
 	q.preempt = make([]slot, cpus)
@@ -89,12 +90,14 @@ func (q *eventQueue) newRound() {
 // armDispatch defers the current round's dispatch to at.
 func (q *eventQueue) armDispatch(at rtime.Time) { q.arm(&q.dispatch, at) }
 
-// push schedules a critical-time or abort-completion event for j.
+// push schedules a critical-time or abort-completion event for j and
+// returns its sequence number.
 //
 //rtlint:noalloc steady state reuses freed arena nodes
-func (q *eventQueue) push(at rtime.Time, kind evKind, j *task.Job) {
+func (q *eventQueue) push(at rtime.Time, kind evKind, j *task.Job) int64 {
 	q.seq++
 	q.timed.Push(at, event{at: at, job: j, seq: q.seq, kind: kind})
+	return q.seq
 }
 
 // before reports whether (at, seq) orders ahead of best.
@@ -108,8 +111,7 @@ func before(at rtime.Time, seq int64, best *event) bool {
 //rtlint:noalloc reads slots and peeks the wheel
 func (q *eventQueue) peek() (ev event, src int, ok bool) {
 	if q.released < len(q.arrivals) {
-		j := q.arrivals[q.released]
-		ev, src, ok = event{at: j.Arrival, job: j, kind: evArrival}, srcArrival, true
+		ev, src, ok = event{at: q.arrivals[q.released].at, kind: evArrival}, srcArrival, true
 	}
 	for cpu := range q.boundary {
 		if s := &q.boundary[cpu]; s.seq != 0 && (!ok || before(s.at, s.seq, &ev)) {

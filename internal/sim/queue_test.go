@@ -106,12 +106,18 @@ func checkEventOrder(t *testing.T, data []byte) {
 		traces, byTask = append(traces, tr), append(byTask, js)
 		total += len(tr)
 	}
-	var jobs []*task.Job
-	for _, x := range releaseOrder(traces, total) {
-		jobs = append(jobs, byTask[x.task][x.seq])
-	}
 	var q eventQueue
-	q.init(jobs, cpus, 0)
+	q.init(releaseOrder(traces, total), cpus, 0)
+	// peek names the job an arrival releases, which the queue leaves to
+	// the kernel, so arrivals compare by identity like the other kinds.
+	peek := func() (event, int, bool) {
+		ev, src, ok := q.peek()
+		if ok && src == srcArrival {
+			x := q.arrivals[q.released]
+			ev.job = byTask[x.task][x.seq]
+		}
+		return ev, src, ok
+	}
 
 	now := rtime.Time(0)
 	preempted := make([]bool, cpus) // armed in the current round
@@ -157,7 +163,7 @@ func checkEventOrder(t *testing.T, data []byte) {
 			q.push(at, kind, j)
 		default:
 			want, wok := ref.peek()
-			got, src, gok := q.peek()
+			got, src, gok := peek()
 			if wok != gok || (wok && !sameEvent(got, want)) {
 				t.Fatalf("peek: queue (%+v, %v), reference (%+v, %v)", got, gok, want, wok)
 			}
@@ -172,7 +178,7 @@ func checkEventOrder(t *testing.T, data []byte) {
 	// Drain both.
 	for {
 		want, wok := ref.peek()
-		got, src, gok := q.peek()
+		got, src, gok := peek()
 		if wok != gok || (wok && !sameEvent(got, want)) {
 			t.Fatalf("drain: queue (%+v, %v), reference (%+v, %v)", got, gok, want, wok)
 		}

@@ -125,11 +125,26 @@ type Config struct {
 	// partitioned engine sets it to the partition index so distinct
 	// partitions draw independent decisions from one shared plan.
 	StochCPU int
+
+	// KeepJobs keeps every released job's record for Result.Jobs. By
+	// default a departed job's record is reused for a later release, so
+	// a run allocates records for its peak live count, not for its
+	// arrivals, and Result.Jobs is nil; Result.Sums carries what
+	// metrics.Analyze needs either way. Output and charged ops do not
+	// depend on it.
+	KeepJobs bool
 }
 
 // Result aggregates a finished run.
 type Result struct {
-	Jobs []*task.Job // every job released before the horizon
+	// Jobs lists every job released before the horizon, in release
+	// order, when the run was configured with KeepJobs; otherwise nil.
+	Jobs []*task.Job
+
+	// Sums are the per-job outcome sums, folded online as jobs depart
+	// (and, for the jobs still live, by Finish) whether or not the run
+	// keeps its jobs.
+	Sums Sums
 
 	Arrivals    int64
 	Completions int64
@@ -139,7 +154,7 @@ type Result struct {
 	SchedOps         int64
 	LockEvents       int64
 	CtxSwitches      int64
-	Retries          int64 // Σ per-job lock-free retries
+	Retries          int64 // Σ per-job lock-free retries (Sums.Retries)
 
 	ExecTime    rtime.Duration // CPU time spent executing jobs
 	Overhead    rtime.Duration // CPU time spent in the scheduler
@@ -189,7 +204,6 @@ func (r Result) Utilization() float64 {
 type Engine struct {
 	kernel
 	pending *task.Job // the last pass's pick, dispatched by evDispatch
-	lastRun *task.Job
 }
 
 // New builds an engine, pre-generating all UAM arrivals over the horizon.
@@ -236,7 +250,7 @@ func (e *Engine) StepNext() bool {
 	}
 	switch ev.kind {
 	case evCritical:
-		if !ev.job.Done() && ev.job.State != task.Aborting {
+		if ev.job != nil && !ev.job.Done() && ev.job.State != task.Aborting {
 			e.beginAbort(ev.job)
 			resched = true
 		}

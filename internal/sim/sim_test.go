@@ -41,6 +41,7 @@ func stagedRun(t *testing.T, cfg Config, arrivals map[int][]rtime.Time) Result {
 	cfg.Arrivals = traces
 	cfg.ArrivalKind = uam.KindPeriodic
 	cfg.Seed = 1
+	cfg.KeepJobs = true
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("engine error: %v", err)
@@ -388,7 +389,7 @@ func TestGeneratedArrivalsEndToEnd(t *testing.T) {
 		r, err := Run(Config{
 			Tasks: mk(), Scheduler: rua.NewLockFree(),
 			Mode: LockFree, R: 10, S: 3, Horizon: 100_000,
-			ArrivalKind: uam.KindJittered, Seed: 42,
+			ArrivalKind: uam.KindJittered, Seed: 42, KeepJobs: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -428,7 +429,7 @@ func TestLockBasedRUAWithSharingEndToEnd(t *testing.T) {
 	r, err := Run(Config{
 		Tasks: mk(), Scheduler: rua.NewLockBased(),
 		Mode: LockBased, R: 15, S: 3, Horizon: 200_000,
-		ArrivalKind: uam.KindBursty, Seed: 7,
+		ArrivalKind: uam.KindBursty, Seed: 7, KeepJobs: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -480,6 +481,7 @@ func TestHeavySharedContentionBothModes(t *testing.T) {
 			Tasks: mk(), Scheduler: s, Mode: mode,
 			R: 25, S: 5, Horizon: 300_000,
 			ArrivalKind: uam.KindBursty, Seed: 99, ConservativeRetry: true,
+			KeepJobs: true,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -852,7 +854,7 @@ func TestAbortedJobsLeaveLive(t *testing.T) {
 	e, err := New(Config{
 		Tasks: tasks, Scheduler: rua.NewLockFree(),
 		Mode: LockFree, R: 100, S: 10, OpCost: 1, Horizon: rtime.Time(60 * rtime.Millisecond),
-		ArrivalKind: uam.KindPeriodic, Seed: 1,
+		ArrivalKind: uam.KindPeriodic, Seed: 1, KeepJobs: true,
 	})
 	if err != nil {
 		t.Fatal(err)

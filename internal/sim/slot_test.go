@@ -59,7 +59,8 @@ func recycleConfig(tasks []*task.Task, seed int64) Config {
 		Tasks: tasks, Scheduler: rua.NewLockBased(), Mode: LockBased,
 		R: 40, S: 7, OpCost: 0.5, Horizon: 40_000,
 		ArrivalKind: uam.KindJittered, Seed: seed,
-		Fault: &fault.Plan{Seed: seed, BurstProb: 0.3, BurstSize: 2, StallProb: 0.05, StallDur: 30},
+		Fault:    &fault.Plan{Seed: seed, BurstProb: 0.3, BurstSize: 2, StallProb: 0.05, StallDur: 30},
+		KeepJobs: true,
 	}
 }
 

@@ -44,7 +44,7 @@ func TestQuickMeasuredSojournWithinAnalyticWorstCase(t *testing.T) {
 				R: r, S: s, OpCost: 0,
 				Horizon:     rtime.Time(30 * tasks[n-1].CriticalTime()),
 				ArrivalKind: uam.KindBursty, Seed: seed,
-				ConservativeRetry: true,
+				ConservativeRetry: true, KeepJobs: true,
 			}
 			if mode == LockFree {
 				cfg.Scheduler = rua.NewLockFree()

@@ -121,7 +121,7 @@ func TestStochEngineInvariants(t *testing.T) {
 			Tasks: tasks, Scheduler: rua.NewLockFree(), Mode: LockFree,
 			R: 150, S: 5, OpCost: 0.02,
 			Horizon: 100_000, ArrivalKind: uam.KindJittered, Seed: seed,
-			ConservativeRetry: true, Stoch: plan,
+			ConservativeRetry: true, Stoch: plan, KeepJobs: true,
 		})
 		if err != nil {
 			t.Logf("run failed: %v", err)

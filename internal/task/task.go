@@ -310,6 +310,12 @@ const (
 // Job is one invocation J_{i,j} of a task — the basic scheduling entity
 // (§2). All runtime fields are owned by the (single-goroutine) execution
 // substrate; Job is not safe for concurrent mutation.
+//
+// The engines recycle job records: a record is created at its job's
+// release and, unless the run keeps its jobs (sim.Config.KeepJobs),
+// reused for a later release once the job departs. A pointer to a job
+// is therefore only meaningful while the job is live, unless the run
+// keeps its jobs.
 type Job struct {
 	Task    *Task
 	Seq     int        // j in J_{i,j}
@@ -351,6 +357,12 @@ type Job struct {
 	// scheduler checks it against its own slot table before trusting it.
 	EngineSlot int32
 	SchedSlot  int32
+
+	// CritSeq is the push sequence of the engine's critical-time event
+	// for this job. That event stays queued after the job departs, so
+	// when it pops the engine compares the two to tell whether the
+	// record still holds the job it was pushed for.
+	CritSeq int64
 
 	// critAt is Arrival + C_i, stamped by Init so the schedulers' hot
 	// paths read a field instead of calling into the TUF.

@@ -284,7 +284,7 @@ func TestSpanInvariantsProperty(t *testing.T) {
 						R: 100 * rtime.Microsecond, S: 5 * rtime.Microsecond,
 						OpCost: 0.02, Horizon: horizon,
 						ArrivalKind: uam.KindJittered, Seed: seed,
-						ConservativeRetry: true, Observer: rec.Record,
+						ConservativeRetry: true, Observer: rec.Record, KeepJobs: true,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -317,7 +317,7 @@ func TestSpanInvariantsProperty(t *testing.T) {
 						R: 100 * rtime.Microsecond, S: 5 * rtime.Microsecond,
 						OpCost: 0.02, Horizon: horizon,
 						ArrivalKind: uam.KindJittered, Seed: seed,
-						Observer: rec.Record,
+						Observer: rec.Record, KeepJobs: true,
 					}, 2)
 					if err != nil {
 						t.Fatal(err)
