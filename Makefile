@@ -165,6 +165,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz '^FuzzScheduleRollback$$' -fuzztime $(FUZZTIME) ./internal/rua
 	$(GO) test -run NONE -fuzz '^FuzzEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz '^FuzzArrivalStream$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz '^FuzzHistMatchesSorted$$' -fuzztime $(FUZZTIME) ./internal/metrics/hist
 	$(GO) test -run NONE -fuzz '^FuzzFixedMatchesStrconv$$' -fuzztime $(FUZZTIME) ./internal/report
 

@@ -10,6 +10,8 @@
 //	BenchmarkScaleEngineRun     → full uniprocessor event loop, 3 windows
 //	BenchmarkOverloadEngineRun  → 10 tasks at AL 1.2 for 400 windows, both
 //	                              modes, observed by an obs.Pipeline
+//	BenchmarkBuildMetricsQuick  → the quick -metrics digest at Jobs 1, as
+//	                              rtsimd's warm-up request builds it
 //
 // The timing wheel's before/after pair lives next to it in
 // internal/rtime/wheel (BenchmarkWheelChurn vs BenchmarkRefChurn).
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/metrics/series"
@@ -187,4 +190,21 @@ func BenchmarkOverloadEngineRun(b *testing.B) {
 	}
 	b.ReportMetric(float64(released), "jobs/run")
 	b.ReportMetric(float64(spans), "spans/run")
+}
+
+// BenchmarkBuildMetricsQuick is the in-repo twin of the layer
+// benchmark's serve setup: rtsimd answers its warm-up request
+// ({"metrics":true}) with artifact.BuildMetrics on the quick profile,
+// one run at a time (Jobs 1). Every simulator × mode folds the
+// canonical workload, so it is mostly small engine runs, partitioned
+// ones included, and what their setup allocates shows in B/op.
+func BenchmarkBuildMetricsQuick(b *testing.B) {
+	p := experiment.Quick
+	p.Jobs = 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := artifact.BuildMetrics(p, false); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

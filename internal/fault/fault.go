@@ -25,7 +25,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -149,48 +148,34 @@ func (p *Plan) Scale(x float64) *Plan {
 	return &cp
 }
 
-// PerturbArrivals applies jitter and burst injection to one task's
-// arrival trace. Natural arrival k may be delayed by up to JitterMax
-// (forward only — the effective release the schedulers see) and may
-// spawn BurstSize injected copies at its perturbed instant. The result
-// is re-sorted and clamped inside [0, horizon); injected[i] marks the
-// i-th returned arrival as perturbed (delayed or injected). When no
-// arrival injector is active the input slice is returned unchanged
-// (same backing array) with a nil mask.
-func (p *Plan) PerturbArrivals(taskID int, tr uam.Trace, horizon rtime.Time) (uam.Trace, []bool) {
-	if p == nil ||
-		((p.JitterProb <= 0 || p.JitterMax <= 0) && (p.BurstProb <= 0 || p.BurstSize <= 0)) {
-		return tr, nil
+// PerturbsArrivals reports whether the plan jitters or bursts
+// arrivals. Nil-safe.
+func (p *Plan) PerturbsArrivals() bool {
+	return p != nil && ((p.JitterProb > 0 && p.JitterMax > 0) || (p.BurstProb > 0 && p.BurstSize > 0))
+}
+
+// PerturbArrival applies jitter and burst injection to natural arrival
+// k of task taskID, at at. The arrival may be delayed by up to
+// JitterMax (forward only — the effective release the schedulers see),
+// clamped to horizon−1, and may spawn copies injected at its perturbed
+// instant. It returns that instant, whether the arrival was delayed, and
+// the number of copies. A task's perturbed trace is its natural
+// arrivals so perturbed, each followed by its copies, sorted stably by
+// time; every one but an undelayed natural arrival counts as perturbed.
+//
+//rtlint:noalloc pure hashing
+func (p *Plan) PerturbArrival(taskID, k int, at, horizon rtime.Time) (rtime.Time, bool, int) {
+	delayed := false
+	if p.JitterMax > 0 && p.hit(p.JitterProb, streamJitter, int64(taskID), int64(k)) {
+		d := 1 + rtime.Duration(p.hash(streamJitterAmt, int64(taskID), int64(k))%uint64(p.JitterMax))
+		at = min(at.Add(d), horizon-1)
+		delayed = true
 	}
-	type arr struct {
-		at  rtime.Time
-		inj bool
+	copies := 0
+	if p.BurstSize > 0 && p.hit(p.BurstProb, streamBurst, int64(taskID), int64(k)) {
+		copies = p.BurstSize
 	}
-	out := make([]arr, 0, len(tr))
-	for k, at := range tr {
-		a := arr{at: at}
-		if p.JitterMax > 0 && p.hit(p.JitterProb, streamJitter, int64(taskID), int64(k)) {
-			d := 1 + rtime.Duration(p.hash(streamJitterAmt, int64(taskID), int64(k))%uint64(p.JitterMax))
-			a.at = a.at.Add(d)
-			if last := horizon - 1; a.at > last {
-				a.at = last
-			}
-			a.inj = true
-		}
-		out = append(out, a)
-		if p.BurstSize > 0 && p.hit(p.BurstProb, streamBurst, int64(taskID), int64(k)) {
-			for n := 0; n < p.BurstSize; n++ {
-				out = append(out, arr{at: a.at, inj: true})
-			}
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
-	res := make(uam.Trace, len(out))
-	mask := make([]bool, len(out))
-	for i, a := range out {
-		res[i], mask[i] = a.at, a.inj
-	}
-	return res, mask
+	return at, delayed, copies
 }
 
 // Overrun returns the extra execution demand injected into job (taskID,

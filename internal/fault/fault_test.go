@@ -2,11 +2,44 @@ package fault
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/rtime"
 	"repro/internal/uam"
 )
+
+// PerturbArrivals is the eager reference for one task's perturbed
+// trace: every natural arrival of tr through PerturbArrival, each
+// followed by its copies, re-sorted stably by time. injected[i] marks
+// the i-th returned arrival as perturbed (delayed or injected). When no
+// arrival injector is active the input slice is returned unchanged
+// (same backing array) with a nil mask. The engines perturb the same
+// way one arrival at a time (internal/sim's arrival source).
+func (p *Plan) PerturbArrivals(taskID int, tr uam.Trace, horizon rtime.Time) (uam.Trace, []bool) {
+	if !p.PerturbsArrivals() {
+		return tr, nil
+	}
+	type arr struct {
+		at  rtime.Time
+		inj bool
+	}
+	out := make([]arr, 0, len(tr))
+	for k, at := range tr {
+		at, delayed, copies := p.PerturbArrival(taskID, k, at, horizon)
+		out = append(out, arr{at: at, inj: delayed})
+		for n := 0; n < copies; n++ {
+			out = append(out, arr{at: at, inj: true})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
+	res := make(uam.Trace, len(out))
+	mask := make([]bool, len(out))
+	for i, a := range out {
+		res[i], mask[i] = a.at, a.inj
+	}
+	return res, mask
+}
 
 func TestZeroPlanInactive(t *testing.T) {
 	var nilPlan *Plan

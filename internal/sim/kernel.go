@@ -9,7 +9,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/task"
 	"repro/internal/trace"
-	"repro/internal/uam"
 )
 
 // The kernel is the mechanism both engines share: arrival setup, the
@@ -148,12 +147,12 @@ type kernel struct {
 	// Job records are made at release, from spare when it is not empty,
 	// and go back to spare at departure, so a run allocates records for
 	// its peak live count. Under KeepJobs every release takes the next
-	// record of slab and is listed in jobs, and none is reused.
+	// record of the last block in kept, none is reused, and Finish lists
+	// them all in release order.
 	spare    []*task.Job
-	slab     []task.Job
-	jobs     []*task.Job
+	kept     [][]task.Job
+	keepHint int            // the first kept block's records
 	sfx      []*task.Suffix // per task, for initialising its jobs
-	injected [][]bool       // per task and invocation: release perturbed by a fault
 
 	// lastRun is the uniprocessor policy's last dispatched job, cleared
 	// when that job departs so a reused record is never taken for it.
@@ -170,10 +169,10 @@ type kernel struct {
 	fail error
 }
 
-// init sets the kernel up for cfg on cpus processors, pre-generating
-// every UAM arrival over the horizon. cfg must already be validated.
-// s is the engine's scheduler, wired to the observer when it emits
-// events of its own.
+// init sets the kernel up for cfg on cpus processors. Arrivals are
+// drawn as the run reaches them, one pending release per task
+// (arrivals.go). cfg must already be validated. s is the engine's
+// scheduler, wired to the observer when it emits events of its own.
 func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	k.cfg = cfg
 	k.acc = cfg.Mode.AccessCost(cfg.R, cfg.S)
@@ -196,32 +195,11 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 		}
 		so.SetObserver(obs)
 	}
-	traces := make([]uam.Trace, len(cfg.Tasks))
-	arrivals := 0
-	for i, t := range cfg.Tasks {
-		if cfg.Arrivals != nil {
-			if i < len(cfg.Arrivals) {
-				traces[i] = cfg.Arrivals[i]
-			}
-		} else {
-			g, err := uam.NewGenerator(t.Arrival, cfg.Seed+int64(i)*7919)
-			if err != nil {
-				return err
-			}
-			traces[i] = g.Generate(cfg.ArrivalKind, cfg.Horizon)
-		}
-		// Fault injection perturbs the releases AFTER generation (or on
-		// top of explicit traces), keyed purely by (plan seed, task id,
-		// arrival index) so every engine perturbs a task identically.
-		var inj []bool
-		traces[i], inj = cfg.Fault.PerturbArrivals(t.ID, traces[i], cfg.Horizon)
-		if inj != nil {
-			if k.injected == nil {
-				k.injected = make([][]bool, len(cfg.Tasks))
-			}
-			k.injected[i] = inj
-		}
-		arrivals += len(traces[i])
+	// Fault injection perturbs the releases as they are drawn, on top of
+	// generated or explicit traces, keyed purely by (plan seed, task id,
+	// arrival index) so every engine perturbs a task identically.
+	if err := k.q.arrivals.init(&k.cfg); err != nil {
+		return err
 	}
 	// The resource map's object table is indexed by object id and sized
 	// here once. Its job table, like the run-state slab, is indexed by
@@ -245,8 +223,7 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	// only while it is live.
 	k.rsSlab = make([]runState, 0, initialSlots)
 	if cfg.KeepJobs {
-		k.slab = make([]task.Job, arrivals)
-		k.jobs = make([]*task.Job, 0, arrivals)
+		k.keepHint = keepHint(&cfg)
 	}
 	k.sfx = make([]*task.Suffix, len(cfg.Tasks))
 	for i, t := range cfg.Tasks {
@@ -255,56 +232,17 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	// The timing wheel holds a job's critical time from its release
 	// until that time passes. Critical times never exceed the UAM window
 	// (C ≤ W, checked by Validate), so a task has about a of them
-	// pending at most; injected bursts or explicit traces past that
-	// grow the arena. Abort completions are few and transient.
+	// pending at most, or the inflated a of its perturbed arrivals
+	// (fault.Plan.EffectiveSpec). The arena grows past that on demand,
+	// so a task's share is capped at maxPendingHint and a declared a
+	// cannot size it without bound. Abort completions are few and
+	// transient.
 	pending := 8
-	for i, t := range cfg.Tasks {
-		pending += min(t.Arrival.A+1, len(traces[i]))
+	for _, t := range cfg.Tasks {
+		pending += min(max(cfg.Fault.EffectiveSpec(t.Arrival).A, 0), maxPendingHint) + 1
 	}
-	k.q.init(releaseOrder(traces, arrivals), cpus, pending)
+	k.q.init(cpus, pending)
 	return nil
-}
-
-// release is one job to create: the seq-th arrival of task task, at at.
-type release struct {
-	at   rtime.Time
-	task int32
-	seq  int32
-}
-
-// releaseOrder lists the arrivals of the per-task traces (total in all)
-// in the order they are released: by time, then task index, then
-// invocation. Each trace is sorted, so listing them task by task and
-// sorting stably by time gives that order; the sort is an LSD radix
-// sort on the bytes of the (non-negative) times, one counting pass per
-// byte up to the latest time's highest.
-func releaseOrder(traces []uam.Trace, total int) []release {
-	src, dst := make([]release, 0, total), make([]release, total)
-	var last rtime.Time
-	for i, tr := range traces {
-		for n, at := range tr {
-			src = append(src, release{at: at, task: int32(i), seq: int32(n)})
-		}
-		if len(tr) > 0 {
-			last = max(last, tr[len(tr)-1])
-		}
-	}
-	for shift := uint(0); shift < 64 && last>>shift > 0; shift += 8 {
-		var count [257]int
-		for _, x := range src {
-			count[int(x.at>>shift&0xff)+1]++
-		}
-		for b := 1; b < len(count); b++ {
-			count[b] += count[b-1]
-		}
-		for _, x := range src {
-			b := int(x.at >> shift & 0xff)
-			dst[count[b]] = x
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	return src
 }
 
 // newJob makes the job that x releases.
@@ -313,9 +251,7 @@ func releaseOrder(traces []uam.Trace, total int) []release {
 func (k *kernel) newJob(x release) *task.Job {
 	var j *task.Job
 	if k.cfg.KeepJobs {
-		j = &k.slab[len(k.jobs)]
-		//rtlint:ignore noalloc appends within the capacity init sized to the arrivals
-		k.jobs = append(k.jobs, j)
+		j = k.keep()
 	} else if n := len(k.spare); n > 0 {
 		j = k.spare[n-1]
 		k.spare = k.spare[:n-1]
@@ -326,12 +262,59 @@ func (k *kernel) newJob(x release) *task.Job {
 	}
 	i, n := int(x.task), int(x.seq)
 	k.sfx[i].Init(j, n, x.at)
-	if k.injected != nil && k.injected[i] != nil && k.injected[i][n] {
-		j.Injected = true
-	}
+	j.Injected = x.inj
 	j.SetOverrun(k.cfg.Fault.Overrun(k.cfg.Tasks[i].ID, n, k.sfx[i].Compute()))
 	return j
 }
+
+// keep returns the next kept job record: the next free record of the
+// last block or, once that is full, the first of a new block. The first
+// block holds keepHint records, the later ones half the records kept so
+// far, so a run that outgrows its estimate leaves at most a third of
+// its records unused.
+//
+//rtlint:noalloc amortized: a block per estimate or per half of the kept jobs
+func (k *kernel) keep() *task.Job {
+	n := len(k.kept)
+	if n == 0 || len(k.kept[n-1]) == cap(k.kept[n-1]) {
+		kept := 0
+		for _, b := range k.kept {
+			kept += len(b)
+		}
+		size := max(k.keepHint, kept/2, 8)
+		//rtlint:ignore noalloc a new block when the last is full; amortized over its records
+		k.kept = append(k.kept, make([]task.Job, 0, size))
+		n++
+	}
+	b := &k.kept[n-1]
+	*b = (*b)[:len(*b)+1]
+	return &(*b)[len(*b)-1]
+}
+
+// keepHint estimates the releases of a run that keeps its jobs, with an
+// eighth of slack: the explicit traces' lengths, or each task's mean
+// UAM rate over the horizon, with the copies an arrival-perturbing plan
+// injects on average.
+func keepHint(cfg *Config) int {
+	var n float64
+	if cfg.Arrivals != nil {
+		for _, tr := range cfg.Arrivals {
+			n += float64(len(tr))
+		}
+	} else {
+		for _, t := range cfg.Tasks {
+			n += float64(cfg.Horizon) * t.Arrival.MeanRate()
+		}
+	}
+	if p := cfg.Fault; p.PerturbsArrivals() {
+		n *= 1 + min(p.BurstProb, 1)*float64(p.BurstSize)
+	}
+	return 1 + int(min(n*9/8, 1<<20))
+}
+
+// maxPendingHint caps a task's share of the timing wheel's initial
+// arena.
+const maxPendingHint = 64
 
 // initialSlots is the run-state slab's (and the resource map's job
 // table's) starting capacity; a run with more live jobs at once grows
@@ -419,7 +402,21 @@ func (k *kernel) Finish() Result {
 		for _, j := range k.live {
 			k.fold(j)
 		}
-		k.res1.Jobs = k.jobs
+		if k.cfg.KeepJobs {
+			n := 0
+			for _, b := range k.kept {
+				n += len(b)
+			}
+			//rtlint:ignore noalloc once per run: Result.Jobs lists the kept records
+			k.res1.Jobs = make([]*task.Job, n)
+			n = 0
+			for _, b := range k.kept {
+				for i := range b {
+					k.res1.Jobs[n] = &b[i]
+					n++
+				}
+			}
+		}
 		k.res1.Horizon = k.cfg.Horizon
 		k.res1.Err = k.fail
 		k.res1.Retries = k.res1.Sums.Retries
@@ -456,7 +453,7 @@ func (k *kernel) step() (ev event, resched, ok bool) {
 	}
 	switch ev.kind {
 	case evArrival:
-		j := k.newJob(k.q.arrivals[k.q.released-1])
+		j := k.newJob(k.q.released)
 		k.takeSlot(j)
 		k.rs(j).rank = k.util.open(k.res1.Sums.release(j, k.cfg.Horizon), &k.res1.Sums)
 		//rtlint:ignore noalloc bounded by total arrivals; reaches steady capacity at warm-up

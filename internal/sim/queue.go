@@ -11,10 +11,12 @@ import (
 // event, but only critical times and abort-handler completions ever
 // enter one:
 //
-//   - Arrivals come from a cursor over the run's release records in
-//     release order (time, task index, invocation); the kernel makes the
-//     job when it pops one. They were all scheduled before the run
-//     started, so at equal times they precede every run-time event.
+//   - Arrivals come from the lazy arrival source (arrivals.go), which
+//     holds each task's next release and yields them in release order
+//     (time, task index, invocation); the kernel makes the job when it
+//     pops one. Releases are part of the run's input, as if scheduled
+//     before it started, so at equal times they precede every run-time
+//     event.
 //   - Each processor's next boundary, its stochastic quantum expiry and
 //     the current dispatch round's deferred dispatch live in slots.
 //     Arming a slot overwrites it, and opening a dispatch round clears
@@ -26,8 +28,8 @@ import (
 // Every run-time event draws its sequence number from one counter, in
 // the order the kernel schedules it. Zero marks an empty slot.
 type eventQueue struct {
-	arrivals []release // every release of the run, in release order
-	released int       // arrivals[:released] have been popped
+	arrivals arrivalSource
+	released release // the arrival remove popped last
 
 	boundary []slot // per processor: the running job's next boundary
 	preempt  []slot // per processor: the stochastic quantum's expiry
@@ -53,10 +55,9 @@ const (
 	srcPreempt  = -4
 )
 
-// init sizes the queue for cpus processors over arrivals (in release
-// order), with timed-event arena capacity for about hint events.
-func (q *eventQueue) init(arrivals []release, cpus, hint int) {
-	q.arrivals = arrivals
+// init sizes the queue for cpus processors, with timed-event arena
+// capacity for about hint events. The arrival source is set up apart.
+func (q *eventQueue) init(cpus, hint int) {
 	q.boundary = make([]slot, cpus)
 	q.preempt = make([]slot, cpus)
 	q.timed = wheel.New[event](hint)
@@ -110,8 +111,8 @@ func before(at rtime.Time, seq int64, best *event) bool {
 //
 //rtlint:noalloc reads slots and peeks the wheel
 func (q *eventQueue) peek() (ev event, src int, ok bool) {
-	if q.released < len(q.arrivals) {
-		ev, src, ok = event{at: q.arrivals[q.released].at, kind: evArrival}, srcArrival, true
+	if at, found := q.arrivals.peek(); found {
+		ev, src, ok = event{at: at, kind: evArrival}, srcArrival, true
 	}
 	for cpu := range q.boundary {
 		if s := &q.boundary[cpu]; s.seq != 0 && (!ok || before(s.at, s.seq, &ev)) {
@@ -139,13 +140,13 @@ func (q *eventQueue) peek() (ev event, src int, ok bool) {
 
 // remove drops the event peek reported from src.
 //
-//rtlint:noalloc pops reuse the wheel's arena
+//rtlint:noalloc pops reuse the wheel's arena and draw arrivals in place
 func (q *eventQueue) remove(src int) {
 	switch {
 	case src >= 0:
 		q.boundary[src].seq = 0
 	case src == srcArrival:
-		q.released++
+		q.released = q.arrivals.pop()
 	case src == srcTimed:
 		q.timed.Pop()
 	case src == srcDispatch:

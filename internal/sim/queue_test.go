@@ -59,7 +59,7 @@ func (r *refQueue) peek() (event, bool) {
 // dispatch rounds, quantum arms, timed pushes, peeks and pops against
 // the kernel's eventQueue and the reference model, and requires both to
 // yield the same events in the same order. Arrivals are per-task traces
-// merged by releaseOrder on the queue side and pre-pushed in (task,
+// drawn by the arrival source on the queue side and pre-pushed in (task,
 // invocation) order on the reference side.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
@@ -91,8 +91,8 @@ func checkEventOrder(t *testing.T, data []byte) {
 	// steps so equal release times across tasks are common.
 	ref := &refQueue{heap: wheel.NewRef[refEvent](0), boundGen: make([]int64, cpus)}
 	var traces []uam.Trace
+	var tasks []*task.Task
 	var byTask [][]*task.Job
-	total := 0
 	for ti, nt := 0, next()%5; ti < nt; ti++ {
 		var tr uam.Trace
 		var js []*task.Job
@@ -104,16 +104,19 @@ func checkEventOrder(t *testing.T, data []byte) {
 			tr, js = append(tr, at), append(js, j)
 		}
 		traces, byTask = append(traces, tr), append(byTask, js)
-		total += len(tr)
+		tasks = append(tasks, &task.Task{ID: ti})
 	}
 	var q eventQueue
-	q.init(releaseOrder(traces, total), cpus, 0)
+	if err := q.arrivals.init(&Config{Tasks: tasks, Arrivals: traces, Horizon: rtime.Infinity}); err != nil {
+		t.Fatal(err)
+	}
+	q.init(cpus, 0)
 	// peek names the job an arrival releases, which the queue leaves to
 	// the kernel, so arrivals compare by identity like the other kinds.
 	peek := func() (event, int, bool) {
 		ev, src, ok := q.peek()
 		if ok && src == srcArrival {
-			x := q.arrivals[q.released]
+			x := q.arrivals.top()
 			ev.job = byTask[x.task][x.seq]
 		}
 		return ev, src, ok

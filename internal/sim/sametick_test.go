@@ -91,7 +91,8 @@ func crowdAt(k *kernel) crowd {
 	}
 	var c crowd
 	q := &k.q
-	c.arrival = q.released < len(q.arrivals) && q.arrivals[q.released].at == ev.at
+	at, pending := q.arrivals.peek()
+	c.arrival = pending && at == ev.at
 	for _, s := range q.boundary {
 		c.boundary = c.boundary || (s.seq != 0 && s.at == ev.at)
 	}

@@ -84,7 +84,9 @@ type Config struct {
 	// mean no arrivals for that task). Each trace must be sorted and
 	// within the horizon; UAM conformance is the caller's responsibility
 	// (validate with uam.CheckTrace when it matters — tests deliberately
-	// construct off-model scenarios).
+	// construct off-model scenarios). The engine reads a trace one
+	// arrival at a time, as it does a generated one, and keeps the
+	// slices: they must not change during the run.
 	Arrivals []uam.Trace
 
 	// Observer, when non-nil, receives a trace event for every
@@ -206,7 +208,8 @@ type Engine struct {
 	pending *task.Job // the last pass's pick, dispatched by evDispatch
 }
 
-// New builds an engine, pre-generating all UAM arrivals over the horizon.
+// New builds an engine. Arrivals are drawn as the run reaches them, so
+// setup does not grow with the horizon.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -11,7 +11,9 @@ import (
 // oracleGenerator is a Generator on math/rand's own source: the
 // reference lazySource must reproduce byte for byte.
 func oracleGenerator(s Spec, seed int64) *Generator {
-	return &Generator{Spec: s, rng: rand.New(rand.NewSource(seed))}
+	g := newGenerator(s)
+	g.rng = *rand.New(rand.NewSource(seed))
+	return g
 }
 
 // TestLazySourceMatchesMathRand holds lazySource to math/rand.NewSource

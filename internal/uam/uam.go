@@ -189,11 +189,33 @@ func CheckTrace(s Spec, tr Trace, horizon rtime.Time) error {
 // later until accepting it keeps every window of the trace within the A
 // bound, and a forced arrival is emitted whenever delaying further would
 // violate the L bound. The result always satisfies CheckTrace.
+//
+// A generator yields its trace one arrival at a time (Next), so a
+// simulator holds only each task's next release; Generate collects the
+// whole trace. Its state is fixed-size: the arrivals within the last W,
+// at most A of them, live in a ring, inline for A ≤ 4, and the random
+// stream is seeded lazily (source.go). A Generator must not be copied:
+// its random stream reads the source stored inside it.
 type Generator struct {
 	Spec Spec
-	rng  *rand.Rand
 
-	recent []rtime.Time // arrivals within the last W, oldest first
+	rng rand.Rand // draws from src, or from math/rand's source in the oracle test
+	src lazySource
+
+	// recent holds the arrivals within the last W, oldest first: n of
+	// them from ring[head], wrapping. The ring grows, up to A slots, only
+	// while it is full; inline backs it until then.
+	ring   []rtime.Time
+	head   int
+	n      int
+	inline [4]rtime.Time
+
+	// Next's cursor: the candidate instant the next arrival starts from,
+	// the arrivals of the current burst (KindBursty), and whether the
+	// trace has ended.
+	t     rtime.Time
+	burst int
+	done  bool
 }
 
 // NewGenerator returns a deterministic generator seeded with seed.
@@ -201,18 +223,39 @@ func NewGenerator(s Spec, seed int64) (*Generator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{Spec: s, rng: rand.New(newLazySource(seed))}, nil
+	g := newGenerator(s)
+	g.src.Seed(seed)
+	g.rng = *rand.New(&g.src)
+	return g, nil
+}
+
+// newGenerator returns a generator for s without its random stream.
+func newGenerator(s Spec) *Generator {
+	g := &Generator{Spec: s, t: rtime.Time(0).Add(s.Phase)}
+	g.ring = g.inline[:min(s.A, len(g.inline))]
+	return g
+}
+
+// at returns the i-th oldest recent arrival.
+func (g *Generator) at(i int) rtime.Time {
+	i += g.head
+	if i >= len(g.ring) {
+		i -= len(g.ring)
+	}
+	return g.ring[i]
 }
 
 // prune drops recent arrivals older than t-W+1 (outside any window that
 // could still contain them together with an arrival at t).
 func (g *Generator) prune(t rtime.Time) {
 	cut := t.Add(-g.Spec.W) // arrivals ≤ cut are out of the window (cut, t]
-	i := 0
-	for i < len(g.recent) && g.recent[i] <= cut {
-		i++
+	for g.n > 0 && g.ring[g.head] <= cut {
+		g.head++
+		if g.head == len(g.ring) {
+			g.head = 0
+		}
+		g.n--
 	}
-	g.recent = g.recent[i:]
 }
 
 // earliestAdmissible returns the earliest time ≥ t at which one more
@@ -221,10 +264,10 @@ func (g *Generator) prune(t rtime.Time) {
 // blocking A-th most recent arrival stops blocking at blocker + W.
 func (g *Generator) earliestAdmissible(t rtime.Time) rtime.Time {
 	g.prune(t)
-	if len(g.recent) < g.Spec.A {
+	if g.n < g.Spec.A {
 		return t
 	}
-	blocker := g.recent[len(g.recent)-g.Spec.A]
+	blocker := g.at(g.n - g.Spec.A)
 	return blocker.Add(g.Spec.W)
 }
 
@@ -239,13 +282,13 @@ func (g *Generator) latestRequired() rtime.Time {
 	if g.Spec.L == 0 {
 		return rtime.Infinity
 	}
-	if len(g.recent) < g.Spec.L {
-		if len(g.recent) == 0 {
+	if g.n < g.Spec.L {
+		if g.n == 0 {
 			return rtime.Time(0).Add(g.Spec.Phase)
 		}
-		return g.recent[len(g.recent)-1]
+		return g.at(g.n - 1)
 	}
-	kth := g.recent[len(g.recent)-g.Spec.L]
+	kth := g.at(g.n - g.Spec.L)
 	return kth.Add(g.Spec.W)
 }
 
@@ -257,8 +300,10 @@ func (g *Generator) place(cand rtime.Time) rtime.Time {
 	if dl := g.latestRequired(); cand > dl {
 		cand = dl
 	}
-	if n := len(g.recent); n > 0 && cand < g.recent[n-1] {
-		cand = g.recent[n-1]
+	if g.n > 0 {
+		if last := g.at(g.n - 1); cand < last {
+			cand = last
+		}
 	}
 	if cand < 0 {
 		cand = 0
@@ -266,10 +311,36 @@ func (g *Generator) place(cand rtime.Time) rtime.Time {
 	return g.earliestAdmissible(cand)
 }
 
-// emit records an arrival.
+// emit records an arrival at t. Pruning the window at t first leaves at
+// most A−1 arrivals (t was admitted), so the ring never holds more than
+// A. Arrivals pruned here are at or before t−W, so every later query,
+// which prunes at a time ≥ t anyway, reads the same window; and an L-th
+// most recent arrival pruned here set a deadline no later than t, which
+// place and the bursty idle step treat like the deadline t that the
+// shorter window gives.
 func (g *Generator) emit(t rtime.Time) rtime.Time {
-	g.recent = append(g.recent, t)
+	g.prune(t)
+	if g.n == len(g.ring) {
+		g.grow()
+	}
+	i := g.head + g.n
+	if i >= len(g.ring) {
+		i -= len(g.ring)
+	}
+	g.ring[i] = t
+	g.n++
 	return t
+}
+
+// grow doubles the full ring, up to A slots, unrolling it to start at
+// slot 0.
+func (g *Generator) grow() {
+	//rtlint:ignore noalloc at most log2(A/4) times per generator; A ≤ 4 never grows
+	ring := make([]rtime.Time, min(2*len(g.ring), g.Spec.A))
+	for i := 0; i < g.n; i++ {
+		ring[i] = g.at(i)
+	}
+	g.ring, g.head = ring, 0
 }
 
 // Kind selects a generation strategy.
@@ -287,75 +358,68 @@ const (
 	KindPeriodic
 )
 
-// Generate produces a trace over [0, horizon) using the given strategy.
-func (g *Generator) Generate(kind Kind, horizon rtime.Time) Trace {
+// Next returns the next arrival of the trace Generate(kind, horizon)
+// produces, and false once that trace has ended. Every call on one
+// generator must pass the same kind and horizon.
+//
+//rtlint:noalloc steady state writes the ring; growth stops at A slots
+func (g *Generator) Next(kind Kind, horizon rtime.Time) (rtime.Time, bool) {
+	if g.done {
+		return 0, false
+	}
+	var at rtime.Time
 	switch kind {
 	case KindBursty:
-		return g.generateBursty(horizon)
-	case KindPeriodic:
-		return g.generatePeriodic(horizon)
-	default:
-		return g.generateJittered(horizon)
-	}
-}
-
-func (g *Generator) generatePeriodic(horizon rtime.Time) Trace {
-	gap := g.Spec.W / rtime.Duration(g.Spec.A)
-	if gap <= 0 {
-		gap = 1
-	}
-	var tr Trace
-	next := rtime.Time(0).Add(g.Spec.Phase)
-	for {
-		at := g.place(next)
-		if at >= horizon {
-			return tr
-		}
-		tr = append(tr, g.emit(at))
-		next = at.Add(gap)
-	}
-}
-
-func (g *Generator) generateBursty(horizon rtime.Time) Trace {
-	var tr Trace
-	t := rtime.Time(0).Add(g.Spec.Phase)
-	for t < horizon {
-		// Burst of up to a arrivals as early as admissible.
-		for k := 0; k < g.Spec.A; k++ {
-			at := g.place(t)
-			if at >= horizon {
-				return tr
+		// Bursts of up to a arrivals as early as admissible, each
+		// followed by an idle stretch until the L bound forces the next
+		// arrival (or one window).
+		if g.burst == g.Spec.A {
+			next := g.latestRequired()
+			if next == rtime.Infinity {
+				next = g.t.Add(g.Spec.W)
 			}
-			tr = append(tr, g.emit(at))
-			t = at
+			if next <= g.t {
+				next = g.t + 1
+			}
+			g.t, g.burst = next, 0
 		}
-		// Idle until the L bound forces the next arrival (or one window).
-		next := g.latestRequired()
-		if next == rtime.Infinity {
-			next = t.Add(g.Spec.W)
+		if g.t >= horizon {
+			g.done = true
+			return 0, false
 		}
-		if next <= t {
-			next = t + 1
-		}
-		t = next
+		at = g.place(g.t)
+	case KindPeriodic:
+		// g.t is the previous arrival plus W/a.
+		at = g.place(g.t)
+	default:
+		// Exponential gaps around the mean rate.
+		//rtlint:ignore noalloc math/rand's ExpFloat64 draws from the generator's own source
+		gap := rtime.Duration(g.rng.ExpFloat64() * (1.0 / g.Spec.MeanRate()))
+		at = g.place(g.t.Add(max(gap, 1)))
 	}
-	return tr
+	if at >= horizon {
+		g.done = true
+		return 0, false
+	}
+	g.t = at
+	switch kind {
+	case KindBursty:
+		g.burst++
+	case KindPeriodic:
+		g.t = at.Add(max(g.Spec.W/rtime.Duration(g.Spec.A), 1))
+	}
+	return g.emit(at), true
 }
 
-func (g *Generator) generateJittered(horizon rtime.Time) Trace {
-	var tr Trace
-	mean := 1.0 / g.Spec.MeanRate()
-	t := rtime.Time(0).Add(g.Spec.Phase)
+// Generate produces a trace over [0, horizon) using the given strategy:
+// every arrival Next yields, from the generator's current state.
+func (g *Generator) Generate(kind Kind, horizon rtime.Time) Trace {
+	tr := make(Trace, 0, g.Spec.MaxArrivalsIn(rtime.Duration(max(horizon, 0))))
 	for {
-		gap := rtime.Duration(g.rng.ExpFloat64() * mean)
-		if gap < 1 {
-			gap = 1
-		}
-		at := g.place(t.Add(gap))
-		if at >= horizon {
+		at, ok := g.Next(kind, horizon)
+		if !ok {
 			return tr
 		}
-		tr = append(tr, g.emit(at))
-		t = at
+		tr = append(tr, at)
 	}
 }
