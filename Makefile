@@ -27,12 +27,13 @@ race:
 	$(GO) test -race ./internal/runner/... ./internal/experiment/...
 
 # Full race sweep, twice: -count=2 defeats test caching and shakes out
-# order-dependent interleavings; the lockfree stress tests (N writers ×
-# M readers per structure) are the main customers.
+# order-dependent interleavings in the engines, the fault properties and
+# the lock-free queue and register stress tests.
 race-all:
 	$(GO) test -race -count=2 ./...
 
-# Just the lock-free structure stress tests, full-size, under -race.
+# Just the lock-free queue and register stress tests (TestStressQueue,
+# TestStressRegister), full-size, under -race.
 stress:
 	$(GO) test -race -run TestStress -count=2 ./internal/lockfree/
 

@@ -14,7 +14,6 @@ package repro_test
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -26,13 +25,34 @@ import (
 	"repro/internal/rua"
 	"repro/internal/sim"
 	"repro/internal/uam"
-	"repro/internal/waitfree"
+)
+
+// The Fig 8 pairs are like for like: each lock-free object and its
+// mutex twin expose the same access methods, so a sub-benchmark and its
+// twin drive identical calls.
+type fig8Queue interface {
+	Enqueue(int)
+	Dequeue() (int, bool)
+}
+
+type fig8Register interface {
+	Read() (int, uint64)
+	Write(int) uint64
+	Update(func(int) int) uint64
+}
+
+var (
+	_ fig8Queue    = (*lockfree.Queue[int])(nil)
+	_ fig8Queue    = (*lockobj.Queue[int])(nil)
+	_ fig8Register = (*lockfree.Register[int])(nil)
+	_ fig8Register = (*lockobj.Register[int])(nil)
 )
 
 // BenchmarkFig8ObjectAccess measures the real lock-free (s) and
 // lock-based (r) object access times on this machine's atomics — the
 // hardware ground truth behind Fig 8. Sub-benchmarks cover the queue
-// (the paper's object), stack, and register, sequential and contended.
+// (the paper's object), sequential and contended, and the register,
+// contended.
 func BenchmarkFig8ObjectAccess(b *testing.B) {
 	b.Run("queue/lockfree/sequential", func(b *testing.B) {
 		q := lockfree.NewQueue[int]()
@@ -72,28 +92,6 @@ func BenchmarkFig8ObjectAccess(b *testing.B) {
 			}
 		})
 	})
-	b.Run("stack/lockfree/contended", func(b *testing.B) {
-		var s lockfree.Stack[int]
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				s.Push(i)
-				s.Pop()
-				i++
-			}
-		})
-	})
-	b.Run("stack/mutex/contended", func(b *testing.B) {
-		var s lockobj.Stack[int]
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				s.Push(i)
-				s.Pop()
-				i++
-			}
-		})
-	})
 	b.Run("register/lockfree/contended", func(b *testing.B) {
 		r := lockfree.NewRegister(0)
 		b.RunParallel(func(pb *testing.PB) {
@@ -107,34 +105,6 @@ func BenchmarkFig8ObjectAccess(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				r.Update(func(v int) int { return v + 1 })
-			}
-		})
-	})
-	b.Run("list/lockfree/contended", func(b *testing.B) {
-		l := lockfree.NewList()
-		var mu sync.Mutex
-		next := int64(0)
-		b.RunParallel(func(pb *testing.PB) {
-			mu.Lock()
-			base := next
-			next += 1 << 32
-			mu.Unlock()
-			k := base
-			for pb.Next() {
-				l.Insert(k % 1024)
-				l.Delete(k % 1024)
-				k++
-			}
-		})
-	})
-	b.Run("list/mutex/contended", func(b *testing.B) {
-		l := lockobj.NewList()
-		b.RunParallel(func(pb *testing.PB) {
-			k := int64(0)
-			for pb.Next() {
-				l.Insert(k % 1024)
-				l.Delete(k % 1024)
-				k++
 			}
 		})
 	})
@@ -366,86 +336,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkWaitFreeVsLockFree quantifies the §1.1 discussion on real
-// hardware: wait-free reads (NBW with a quiet writer; multi-buffer) vs
-// lock-free register reads vs mutex reads.
-func BenchmarkWaitFreeVsLockFree(b *testing.B) {
-	b.Run("nbw/read", func(b *testing.B) {
-		var n waitfree.NBW[int]
-		n.Write(42)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n.Read()
-		}
-	})
-	b.Run("multibuffer/read", func(b *testing.B) {
-		m, err := waitfree.NewMultiBuffer(1, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := m.NewReader()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Read()
-		}
-	})
-	b.Run("lockfree-register/read", func(b *testing.B) {
-		r := lockfree.NewRegister(42)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Read()
-		}
-	})
-	b.Run("mutex-register/read", func(b *testing.B) {
-		r := lockobj.NewRegister(42)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Read()
-		}
-	})
-	b.Run("nbw/write", func(b *testing.B) {
-		var n waitfree.NBW[int]
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n.Write(i)
-		}
-	})
-	b.Run("multibuffer/write", func(b *testing.B) {
-		m, err := waitfree.NewMultiBuffer(1, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.Write(i)
-		}
-	})
-}
-
-// BenchmarkSnapshotScan measures the §7 snapshot abstraction: scan cost
-// grows with component count; updates stay O(1).
-func BenchmarkSnapshotScan(b *testing.B) {
-	for _, n := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("scan/n=%d", n), func(b *testing.B) {
-			s := lockfree.NewSnapshot(n, 0)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.Scan()
-			}
-		})
-	}
-	b.Run("update", func(b *testing.B) {
-		s := lockfree.NewSnapshot(8, 0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Update(i%8, i)
-		}
-	})
-}
-
 // BenchmarkGlobalMultiprocessor measures global-engine throughput per CPU count —
 // the wall-clock cost of the §7 global-scheduling extension.
 func BenchmarkGlobalMultiprocessor(b *testing.B) {
@@ -501,28 +391,4 @@ func BenchmarkParallelSweep(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBoundedQueue measures the array-based MPMC queue against the
-// linked Michael–Scott queue (allocation-free vs allocating).
-func BenchmarkBoundedQueue(b *testing.B) {
-	b.Run("bounded/sequential", func(b *testing.B) {
-		q, err := lockfree.NewBoundedQueue[int](1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(i)
-			q.Dequeue()
-		}
-	})
-	b.Run("msqueue/sequential", func(b *testing.B) {
-		q := lockfree.NewQueue[int]()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(i)
-			q.Dequeue()
-		}
-	})
 }

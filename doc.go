@@ -19,10 +19,8 @@
 //	internal/task        jobs, segments, lock boundaries, abort handlers
 //	internal/resource    lock ownership / commit tracking
 //	internal/sched       scheduler interface; EDF, EDF-PIP, LLF, LBESA
-//	internal/lockfree    real atomics-based objects (MS queue, bounded
-//	                     MPMC, Treiber, list, register, ring, snapshot)
-//	internal/lockobj     mutex twins for the Fig 8 microbenchmarks
-//	internal/waitfree    NBW + multi-buffer wait-free registers (§1.1)
+//	internal/lockfree    real atomics-based MS queue and MWMR register
+//	internal/lockobj     their mutex twins for the Fig 8 microbenchmarks
 //	internal/trace       event log, ASCII timelines, JSON export
 //	internal/metrics     AUR, CMR, CML, AL, per-task stats, 95% CIs
 //	internal/experiment  per-figure regeneration harness + extensions

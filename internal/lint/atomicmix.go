@@ -8,12 +8,12 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// atomicmixScope is the code that implements or drives the lock-free /
-// wait-free protocols, where a single plain access to a CAS-managed
-// word is a data race the race detector only catches if a test happens
-// to interleave it.
+// atomicmixScope is the code that implements or drives the lock-free
+// protocols, where a single plain access to a CAS-managed word is a
+// data race the race detector only catches if a test happens to
+// interleave it.
 var atomicmixScope = []string{
-	"internal/lockfree", "internal/lockobj", "internal/waitfree", "internal/runner",
+	"internal/lockfree", "internal/lockobj", "internal/runner",
 }
 
 // Atomicmix flags struct fields that mix access disciplines: a field

@@ -10,10 +10,9 @@ import (
 )
 
 // casloopScope is the code built on compare-and-swap retry: the
-// lock-free containers, the wait-free constructions layered on them,
-// and the lock-object protocol.
+// Michael–Scott queue and the register, and their mutex twins.
 var casloopScope = []string{
-	"internal/lockfree", "internal/waitfree", "internal/lockobj",
+	"internal/lockfree", "internal/lockobj",
 }
 
 // Casloop checks that CAS retry loops can actually make progress. A

@@ -18,10 +18,9 @@ var floatcmpScope = []string{
 	// scheduling decisions: exact float equality there changes event
 	// sequences when rounding shifts.
 	"internal/rua", "internal/rtime",
-	// Fault-injection probabilities and wait-free progress ratios are
-	// compared against thresholds; exact equality there flips plans when
-	// rounding drifts.
-	"internal/fault", "internal/waitfree",
+	// Fault-injection probabilities are compared against thresholds;
+	// exact equality there flips plans when rounding drifts.
+	"internal/fault",
 	// The stochastic scheduler compares hashed uniforms against pick
 	// probabilities, and the throughput predictor fits float models:
 	// exact equality in either flips decisions on rounding drift.

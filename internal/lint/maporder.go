@@ -13,10 +13,9 @@ var maporderScope = []string{
 	"internal/sim", "internal/rua", "internal/sched",
 	"internal/experiment", "internal/metrics", "internal/analysis", "internal/multi",
 	"internal/trace", "internal/report", "internal/rtime",
-	// The fault planner expands scenario maps into injection schedules,
-	// and the wait-free helpers publish per-slot state: map-order leaks
-	// in either change the event sequence between runs.
-	"internal/fault", "internal/waitfree",
+	// The fault planner expands scenario maps into injection schedules:
+	// a map-order leak there changes the event sequence between runs.
+	"internal/fault",
 	// The stochastic-scheduler planner hashes (seed, cpu, tick) into
 	// preemption decisions; a map walk feeding those decisions would
 	// reintroduce the nondeterminism the hash exists to exclude.

@@ -16,7 +16,7 @@ func TestMaporder(t *testing.T) {
 		"maporder/internal/sim", "maporder/internal/trace", "maporder/notscoped",
 		"maporder/internal/report", "maporder/internal/metrics/hist",
 		"maporder/internal/rtime/wheel", "maporder/internal/fault",
-		"maporder/internal/waitfree", "maporder/internal/stoch",
+		"maporder/internal/stoch",
 		"maporder/internal/obs", "maporder/internal/serve")
 }
 
@@ -40,7 +40,7 @@ func TestFloatcmp(t *testing.T) {
 	analysistest.Run(t, "testdata/src", lint.Floatcmp,
 		"floatcmp/internal/metrics", "floatcmp/internal/report",
 		"floatcmp/internal/rua", "floatcmp/internal/fault",
-		"floatcmp/internal/waitfree", "floatcmp/internal/stoch",
+		"floatcmp/internal/stoch",
 		"floatcmp/internal/obs", "floatcmp/internal/serve")
 }
 

@@ -1,6 +1,6 @@
 // Package notscoped carries the stale-expected shape outside
-// internal/lockfree, internal/waitfree, and internal/lockobj: the
-// casloop analyzer must stay silent here.
+// internal/lockfree and internal/lockobj: the casloop analyzer must
+// stay silent here.
 package notscoped
 
 import "sync/atomic"

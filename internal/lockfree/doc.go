@@ -1,19 +1,20 @@
-// Package lockfree provides the lock-free shared objects the paper's
-// evaluation uses (§6): the Michael–Scott queue [21], the Treiber stack
-// [25], a Valois-style lock-free sorted linked list [26], a multi-writer
-// multi-reader register, and a single-producer single-consumer ring.
+// Package lockfree provides the two lock-free shared objects behind the
+// repo's hardware check of the paper's Fig 8 claim (r ≫ s): the
+// Michael–Scott queue [21], the object the paper's evaluation shares
+// among its tasks (§6), and a multi-writer multi-reader register (§7).
+// internal/lockobj holds their mutex twins.
 //
 // Lock-free objects guarantee that SOME operation completes in a finite
 // number of steps; an individual operation may be forced to retry when a
 // concurrent operation changes the object between its read and its
-// compare-and-swap. Every structure here counts those retries with an
-// atomic counter, exposing exactly the per-access retry quantity that
-// Theorem 2 bounds (f_i). The counters add one uncontended atomic add per
-// retry — negligible next to the CAS traffic being measured — and can be
-// read and reset without stopping the object.
+// compare-and-swap. Both objects count those retries with an atomic
+// counter, exposing exactly the per-access retry quantity that Theorem 2
+// bounds (f_i). The counters add one uncontended atomic add per retry —
+// negligible next to the CAS traffic being measured — and can be read
+// and reset without stopping the object.
 //
-// All structures are allocation-per-node and rely on Go's garbage
-// collector for safe memory reclamation, which sidesteps the ABA problem
-// without hazard pointers or tags: a node address cannot be reused while
-// any thread still holds a pointer to it.
+// Both objects allocate per node (or per register cell) and rely on Go's
+// garbage collector for safe memory reclamation, which sidesteps the ABA
+// problem without hazard pointers or tags: an address cannot be reused
+// while any thread still holds a pointer to it.
 package lockfree

@@ -15,51 +15,10 @@ func ExampleQueue() {
 	// Output: plot-1 1
 }
 
-func ExampleStack() {
-	var s lockfree.Stack[int]
-	s.Push(1)
-	s.Push(2)
-	v, _ := s.Pop()
-	fmt.Println(v)
-	// Output: 2
-}
-
 func ExampleRegister() {
 	r := lockfree.NewRegister(10)
 	r.Update(func(v int) int { return v * 3 })
 	v, version := r.Read()
 	fmt.Println(v, version)
 	// Output: 30 1
-}
-
-func ExampleList() {
-	l := lockfree.NewList()
-	l.Insert(5)
-	l.Insert(2)
-	l.Insert(9)
-	l.Delete(5)
-	fmt.Println(l.Keys())
-	// Output: [2 9]
-}
-
-func ExampleSnapshot() {
-	s := lockfree.NewSnapshot(3, 0)
-	s.Update(0, 10)
-	s.Update(2, 30)
-	fmt.Println(s.Scan())
-	// Output: [10 0 30]
-}
-
-func ExampleBoundedQueue() {
-	q, _ := lockfree.NewBoundedQueue[int](4)
-	for i := 1; i <= 5; i++ {
-		if !q.Enqueue(i) {
-			fmt.Println("full at", i)
-		}
-	}
-	v, _ := q.Dequeue()
-	fmt.Println("head", v)
-	// Output:
-	// full at 5
-	// head 1
 }

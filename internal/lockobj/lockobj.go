@@ -1,46 +1,56 @@
 // Package lockobj provides mutex-based counterparts to the lock-free
-// objects in internal/lockfree, with identical method sets. They exist
-// for the apples-to-apples access-time comparison of the paper's Fig 8:
-// the same workload driven through a lock-based object measures r, and
-// through the lock-free twin measures s. Blocking episodes (lock
-// acquisitions that had to wait) are counted, mirroring the retry
-// counters on the lock-free side.
+// queue and register in internal/lockfree, with the same access
+// methods. They exist for the apples-to-apples access-time comparison
+// of the paper's Fig 8: the same workload driven through a lock-based
+// object measures r, and through the lock-free twin measures s.
+// Blocking episodes (lock acquisitions that had to wait) are counted,
+// mirroring the retry counters on the lock-free side.
 package lockobj
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
+// countingMutex is a mutex that counts the acquisitions that had to
+// wait for it.
+type countingMutex struct {
+	mu     sync.Mutex
+	blocks atomic.Int64
+}
+
+func (m *countingMutex) lock() {
+	if !m.mu.TryLock() {
+		m.blocks.Add(1)
+		m.mu.Lock()
+	}
+}
+
+func (m *countingMutex) unlock() { m.mu.Unlock() }
+
+// Blockings returns how many operations had to wait for the lock.
+func (m *countingMutex) Blockings() int64 { return m.blocks.Load() }
+
 // Queue is a mutex-protected FIFO queue.
 type Queue[T any] struct {
-	mu     sync.Mutex
-	items  []T
-	blocks atomic.Int64
+	countingMutex
+	items []T
 }
 
 // NewQueue returns an empty queue.
 func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
-func (q *Queue[T]) lock() {
-	if !q.mu.TryLock() {
-		q.blocks.Add(1)
-		q.mu.Lock()
-	}
-}
-
 // Enqueue appends v to the tail.
 func (q *Queue[T]) Enqueue(v T) {
 	q.lock()
-	defer q.mu.Unlock()
+	defer q.unlock()
 	q.items = append(q.items, v)
 }
 
 // Dequeue removes and returns the head element; ok is false when empty.
 func (q *Queue[T]) Dequeue() (v T, ok bool) {
 	q.lock()
-	defer q.mu.Unlock()
+	defer q.unlock()
 	if len(q.items) == 0 {
 		var zero T
 		return zero, false
@@ -53,74 +63,15 @@ func (q *Queue[T]) Dequeue() (v T, ok bool) {
 // Len returns the number of elements.
 func (q *Queue[T]) Len() int {
 	q.lock()
-	defer q.mu.Unlock()
+	defer q.unlock()
 	return len(q.items)
 }
 
-// Blockings returns how many operations had to wait for the lock.
-func (q *Queue[T]) Blockings() int64 { return q.blocks.Load() }
-
-// Stack is a mutex-protected LIFO stack.
-type Stack[T any] struct {
-	mu     sync.Mutex
-	items  []T
-	blocks atomic.Int64
-}
-
-func (s *Stack[T]) lock() {
-	if !s.mu.TryLock() {
-		s.blocks.Add(1)
-		s.mu.Lock()
-	}
-}
-
-// Push adds v on top.
-func (s *Stack[T]) Push(v T) {
-	s.lock()
-	defer s.mu.Unlock()
-	s.items = append(s.items, v)
-}
-
-// Pop removes and returns the top element; ok is false when empty.
-func (s *Stack[T]) Pop() (v T, ok bool) {
-	s.lock()
-	defer s.mu.Unlock()
-	if len(s.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	v = s.items[len(s.items)-1]
-	s.items = s.items[:len(s.items)-1]
-	return v, true
-}
-
-// Peek returns the top element without removing it.
-func (s *Stack[T]) Peek() (v T, ok bool) {
-	s.lock()
-	defer s.mu.Unlock()
-	if len(s.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return s.items[len(s.items)-1], true
-}
-
-// Len returns the number of elements.
-func (s *Stack[T]) Len() int {
-	s.lock()
-	defer s.mu.Unlock()
-	return len(s.items)
-}
-
-// Blockings returns how many operations had to wait for the lock.
-func (s *Stack[T]) Blockings() int64 { return s.blocks.Load() }
-
 // Register is a mutex-protected value cell with versioning.
 type Register[T any] struct {
-	mu     sync.Mutex
-	val    T
-	ver    uint64
-	blocks atomic.Int64
+	countingMutex
+	val T
+	ver uint64
 }
 
 // NewRegister returns a register holding initial.
@@ -128,24 +79,17 @@ func NewRegister[T any](initial T) *Register[T] {
 	return &Register[T]{val: initial}
 }
 
-func (r *Register[T]) lock() {
-	if !r.mu.TryLock() {
-		r.blocks.Add(1)
-		r.mu.Lock()
-	}
-}
-
 // Read returns the current value and version.
 func (r *Register[T]) Read() (T, uint64) {
 	r.lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	return r.val, r.ver
 }
 
 // Write installs v and returns the new version.
 func (r *Register[T]) Write(v T) uint64 {
 	r.lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.val = v
 	r.ver++
 	return r.ver
@@ -154,157 +98,8 @@ func (r *Register[T]) Write(v T) uint64 {
 // Update applies f to the current value under the lock.
 func (r *Register[T]) Update(f func(T) T) uint64 {
 	r.lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.val = f(r.val)
 	r.ver++
 	return r.ver
 }
-
-// Blockings returns how many operations had to wait for the lock.
-func (r *Register[T]) Blockings() int64 { return r.blocks.Load() }
-
-// List is a mutex-protected sorted set of int64 keys.
-type List struct {
-	mu     sync.Mutex
-	keys   []int64
-	blocks atomic.Int64
-}
-
-// NewList returns an empty set.
-func NewList() *List { return &List{} }
-
-func (l *List) lock() {
-	if !l.mu.TryLock() {
-		l.blocks.Add(1)
-		l.mu.Lock()
-	}
-}
-
-func (l *List) find(key int64) int {
-	lo, hi := 0, len(l.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Insert adds key; it reports false if already present.
-func (l *List) Insert(key int64) bool {
-	l.lock()
-	defer l.mu.Unlock()
-	i := l.find(key)
-	if i < len(l.keys) && l.keys[i] == key {
-		return false
-	}
-	l.keys = append(l.keys, 0)
-	copy(l.keys[i+1:], l.keys[i:])
-	l.keys[i] = key
-	return true
-}
-
-// Delete removes key; it reports false if absent.
-func (l *List) Delete(key int64) bool {
-	l.lock()
-	defer l.mu.Unlock()
-	i := l.find(key)
-	if i >= len(l.keys) || l.keys[i] != key {
-		return false
-	}
-	l.keys = append(l.keys[:i], l.keys[i+1:]...)
-	return true
-}
-
-// Contains reports whether key is present.
-func (l *List) Contains(key int64) bool {
-	l.lock()
-	defer l.mu.Unlock()
-	i := l.find(key)
-	return i < len(l.keys) && l.keys[i] == key
-}
-
-// Keys returns a copy of the keys in ascending order.
-func (l *List) Keys() []int64 {
-	l.lock()
-	defer l.mu.Unlock()
-	out := make([]int64, len(l.keys))
-	copy(out, l.keys)
-	return out
-}
-
-// Len returns the number of keys.
-func (l *List) Len() int {
-	l.lock()
-	defer l.mu.Unlock()
-	return len(l.keys)
-}
-
-// Blockings returns how many operations had to wait for the lock.
-func (l *List) Blockings() int64 { return l.blocks.Load() }
-
-// Ring is a mutex-protected bounded FIFO, counterpart to lockfree.Ring.
-type Ring[T any] struct {
-	mu     sync.Mutex
-	buf    []T
-	head   int
-	n      int
-	blocks atomic.Int64
-}
-
-// NewRing returns a ring with the given capacity (any positive size).
-func NewRing[T any](capacity int) (*Ring[T], error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("lockobj: ring capacity %d must be positive", capacity)
-	}
-	return &Ring[T]{buf: make([]T, capacity)}, nil
-}
-
-func (r *Ring[T]) lock() {
-	if !r.mu.TryLock() {
-		r.blocks.Add(1)
-		r.mu.Lock()
-	}
-}
-
-// Offer appends v; it reports false when full.
-func (r *Ring[T]) Offer(v T) bool {
-	r.lock()
-	defer r.mu.Unlock()
-	if r.n == len(r.buf) {
-		return false
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-	return true
-}
-
-// Poll removes the oldest element; ok is false when empty.
-func (r *Ring[T]) Poll() (v T, ok bool) {
-	r.lock()
-	defer r.mu.Unlock()
-	if r.n == 0 {
-		var zero T
-		return zero, false
-	}
-	v = r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return v, true
-}
-
-// Len returns the number of buffered elements.
-func (r *Ring[T]) Len() int {
-	r.lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
-// Blockings returns how many operations had to wait for the lock.
-func (r *Ring[T]) Blockings() int64 { return r.blocks.Load() }

@@ -1,9 +1,9 @@
 package lockobj
 
 import (
+	"runtime"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestQueueFIFO(t *testing.T) {
@@ -52,30 +52,6 @@ func TestQueueConcurrent(t *testing.T) {
 	if len(seen) != goroutines*per {
 		t.Fatalf("got %d values", len(seen))
 	}
-	if q.Blockings() < 0 {
-		t.Fatal("negative blockings")
-	}
-}
-
-func TestStackLIFO(t *testing.T) {
-	var s Stack[int]
-	if _, ok := s.Pop(); ok {
-		t.Fatal("empty stack popped")
-	}
-	s.Push(1)
-	s.Push(2)
-	if v, ok := s.Peek(); !ok || v != 2 {
-		t.Fatalf("Peek = (%d,%v)", v, ok)
-	}
-	if v, _ := s.Pop(); v != 2 {
-		t.Fatalf("Pop = %d, want 2", v)
-	}
-	if v, _ := s.Pop(); v != 1 {
-		t.Fatalf("Pop = %d, want 1", v)
-	}
-	if s.Len() != 0 {
-		t.Fatal("not empty")
-	}
 }
 
 func TestRegister(t *testing.T) {
@@ -108,122 +84,46 @@ func TestRegisterConcurrentIncrements(t *testing.T) {
 	}
 }
 
-func TestListSetSemantics(t *testing.T) {
-	l := NewList()
-	if !l.Insert(4) || l.Insert(4) {
-		t.Fatal("insert semantics wrong")
+// waitsOnce runs op while the test holds m and asserts that op counted
+// exactly one blocking episode and finished once m was released.
+func waitsOnce(t *testing.T, m *countingMutex, op func()) {
+	t.Helper()
+	before := m.Blockings()
+	m.lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		op()
+	}()
+	for m.Blockings() == before {
+		runtime.Gosched()
 	}
-	l.Insert(2)
-	l.Insert(9)
-	keys := l.Keys()
-	want := []int64{2, 4, 9}
-	for i, k := range want {
-		if keys[i] != k {
-			t.Fatalf("Keys = %v, want %v", keys, want)
-		}
-	}
-	if !l.Delete(4) || l.Delete(4) || l.Contains(4) {
-		t.Fatal("delete semantics wrong")
-	}
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-}
-
-func TestRing(t *testing.T) {
-	if _, err := NewRing[int](0); err == nil {
-		t.Fatal("capacity 0 accepted")
-	}
-	r, err := NewRing[int](3) // non-power-of-two is fine for the mutex ring
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if !r.Offer(i) {
-			t.Fatalf("Offer %d failed", i)
-		}
-	}
-	if r.Offer(9) {
-		t.Fatal("full ring accepted")
-	}
-	for i := 0; i < 3; i++ {
-		if v, ok := r.Poll(); !ok || v != i {
-			t.Fatalf("Poll = (%d,%v)", v, ok)
-		}
-	}
-	if _, ok := r.Poll(); ok {
-		t.Fatal("empty ring polled")
-	}
-	if r.Cap() != 3 {
-		t.Fatalf("Cap = %d", r.Cap())
+	m.unlock()
+	<-done
+	if got := m.Blockings() - before; got != 1 {
+		t.Fatalf("Blockings rose by %d, want 1", got)
 	}
 }
 
-// Property: the mutex list matches a model set (same test as the
-// lock-free one — the two implementations must be observationally
-// equivalent single-threaded).
-func TestQuickListMatchesModelSet(t *testing.T) {
-	f := func(ops []int8) bool {
-		l := NewList()
-		model := map[int64]bool{}
-		for _, op := range ops {
-			k := int64(op % 16)
-			if op >= 0 {
-				want := !model[k]
-				if l.Insert(k) != want {
-					return false
-				}
-				model[k] = true
-			} else {
-				want := model[k]
-				if l.Delete(k) != want {
-					return false
-				}
-				delete(model, k)
-			}
-		}
-		return l.Len() == len(model)
+// An uncontended access never blocks; an access that finds the lock
+// held counts one blocking episode and completes once it is released.
+func TestBlockings(t *testing.T) {
+	q := NewQueue[int]()
+	q.Enqueue(1)
+	q.Dequeue()
+	r := NewRegister(0)
+	r.Write(1)
+	r.Update(func(v int) int { return v + 1 })
+	r.Read()
+	if q.Blockings() != 0 || r.Blockings() != 0 {
+		t.Fatalf("uncontended Blockings = (%d, %d), want (0, 0)", q.Blockings(), r.Blockings())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	waitsOnce(t, &q.countingMutex, func() { q.Enqueue(7) })
+	if v, ok := q.Dequeue(); !ok || v != 7 {
+		t.Fatalf("Dequeue = (%d,%v), want (7,true)", v, ok)
 	}
-}
-
-// Property: mutex ring behaves like a bounded model FIFO.
-func TestQuickRingMatchesModel(t *testing.T) {
-	f := func(capRaw uint8, ops []int16) bool {
-		capacity := int(capRaw%7) + 1
-		r, err := NewRing[int16](capacity)
-		if err != nil {
-			return false
-		}
-		var model []int16
-		for _, op := range ops {
-			if op >= 0 {
-				want := len(model) < capacity
-				if r.Offer(op) != want {
-					return false
-				}
-				if want {
-					model = append(model, op)
-				}
-			} else {
-				v, ok := r.Poll()
-				if len(model) == 0 {
-					if ok {
-						return false
-					}
-					continue
-				}
-				if !ok || v != model[0] {
-					return false
-				}
-				model = model[1:]
-			}
-		}
-		return r.Len() == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	waitsOnce(t, &r.countingMutex, func() { r.Update(func(v int) int { return v * 10 }) })
+	if v, ver := r.Read(); v != 20 || ver != 3 {
+		t.Fatalf("Read = (%d,%d), want (20,3)", v, ver)
 	}
 }

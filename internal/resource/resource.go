@@ -5,8 +5,8 @@
 // object (the raw material of retry accounting, §4).
 //
 // The simulator runs on one goroutine, so this package is deliberately
-// unsynchronized; the *real* concurrent objects live in internal/lockfree
-// and internal/lockobj.
+// unsynchronized; the *real* concurrent objects, the Fig 8 queue and
+// register pair, live in internal/lockfree and internal/lockobj.
 package resource
 
 import (

@@ -232,14 +232,15 @@ func (k *kernel) init(cfg Config, cpus int, global bool, s any) error {
 	// The timing wheel holds a job's critical time from its release
 	// until that time passes. Critical times never exceed the UAM window
 	// (C ≤ W, checked by Validate), so a task has about a of them
-	// pending at most, or the inflated a of its perturbed arrivals
-	// (fault.Plan.EffectiveSpec). The arena grows past that on demand,
-	// so a task's share is capped at maxPendingHint and a declared a
-	// cannot size it without bound. Abort completions are few and
-	// transient.
+	// pending. A perturbing plan's bursts and jitter can push a few
+	// more, but sizing for the inflated a of fault.Plan.EffectiveSpec
+	// reserves far more than a run usually holds, and the arena grows
+	// past its start on demand. A task's share is capped at
+	// maxPendingHint, so a declared a cannot size it without bound.
+	// Abort completions are few and transient.
 	pending := 8
 	for _, t := range cfg.Tasks {
-		pending += min(max(cfg.Fault.EffectiveSpec(t.Arrival).A, 0), maxPendingHint) + 1
+		pending += min(max(t.Arrival.A, 0), maxPendingHint) + 1
 	}
 	k.q.init(cpus, pending)
 	return nil

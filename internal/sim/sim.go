@@ -17,8 +17,9 @@
 // physics. A Go process cannot provide RTOS priorities (the runtime
 // scheduler and GC preempt arbitrarily), so real time would add noise
 // without adding fidelity; virtual time gives exact, reproducible event
-// interleavings. Real atomics-based objects are measured separately in
-// internal/lockfree benchmarks.
+// interleavings. The real atomics-based queue and register
+// (internal/lockfree) are measured against their mutex twins
+// (internal/lockobj) separately, in BenchmarkFig8ObjectAccess.
 package sim
 
 import (
