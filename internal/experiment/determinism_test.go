@@ -11,27 +11,15 @@ import (
 // are pure functions of their sim.Config and results merge by index, so
 // worker count and goroutine interleaving must be unobservable.
 func TestParallelDeterminism(t *testing.T) {
-	render := func(jobs int, id string) (string, string) {
-		p := Quick
-		p.Jobs = jobs
-		tables, err := Registry[id](p)
-		var sb strings.Builder
-		for _, tb := range tables {
-			sb.WriteString(tb.Render())
-			sb.WriteByte('\n')
-		}
-		errText := ""
-		if err != nil {
-			errText = err.Error()
-		}
-		return sb.String(), errText
-	}
 	for _, id := range Names() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			seq, seqErr := render(1, id)
-			par, parErr := render(8, id)
+			p := Quick
+			p.Jobs = 1
+			seq, seqErr := renderFig(p, id)
+			p.Jobs = 8
+			par, parErr := renderFig(p, id)
 			if seqErr != parErr {
 				t.Fatalf("error mismatch: jobs=1 %q, jobs=8 %q", seqErr, parErr)
 			}
@@ -40,4 +28,20 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// renderFig runs one registered experiment under p and returns its
+// rendered tables and error text.
+func renderFig(p Profile, id string) (string, string) {
+	tables, err := Registry[id](p)
+	var sb strings.Builder
+	for _, tb := range tables {
+		sb.WriteString(tb.Render())
+		sb.WriteByte('\n')
+	}
+	errText := ""
+	if err != nil {
+		errText = err.Error()
+	}
+	return sb.String(), errText
 }

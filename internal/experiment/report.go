@@ -138,14 +138,19 @@ func finishRun(run *report.Run, lockBased bool, merged *check.Report, opSet *ops
 	}
 }
 
-// attachFigs appends the requested figure tables to the report.
+// attachFigs appends the requested figure tables to the report, from
+// p.FigMemo when it holds them. Runners see p with the fault and stoch
+// overlays cleared: no figure reads them (they perturb only the traced
+// runs above), and clearing them makes the memo key, which omits them,
+// exact by construction.
 func attachFigs(rep *report.Report, p Profile, figIDs []string) error {
+	p.Fault, p.Stoch = nil, nil
 	for _, id := range figIDs {
 		r, ok := Registry[id]
 		if !ok {
 			return fmt.Errorf("experiment: unknown experiment %q for report", id)
 		}
-		tables, err := r(p)
+		tables, err := p.FigMemo.tables(id, r, p)
 		if err != nil {
 			return fmt.Errorf("experiment: report fig %s: %w", id, err)
 		}

@@ -246,7 +246,8 @@ type Profile struct {
 	// timeline, and bounds are re-checked against the plan's effective
 	// (inflated) arrival curves with model-exceeding violations flagged
 	// expected. Nil (or a zero plan) leaves every run byte-identical to
-	// the fault-free path. See DESIGN.md §5e.
+	// the fault-free path. Figure runners (Registry) never see this
+	// field: a report's figures run with it cleared. See DESIGN.md §5e.
 	Fault *fault.Plan
 
 	// Stoch, when non-nil and active, overlays the seeded stochastic
@@ -254,9 +255,15 @@ type Profile struct {
 	// preemptions and random picks (uniprocessor) or ranked-list shuffles
 	// (global) perturb dispatch. Like Fault, every decision is a pure
 	// hash, so runs stay byte-identical for any worker count; a nil or
-	// zero plan is bit-identical to the deterministic scheduler. See
-	// DESIGN.md §5h.
+	// zero plan is bit-identical to the deterministic scheduler. As with
+	// Fault, figure runners never see this field. See DESIGN.md §5h.
 	Stoch *stoch.Plan
+
+	// FigMemo, when non-nil, serves a report's figure tables from a
+	// cache shared across builds (see FigMemo). Like Jobs it is
+	// operational: it never changes a byte, and no flag, spec field or
+	// daemon setting sets it — the rtsimd server attaches its own.
+	FigMemo *FigMemo
 }
 
 // Quick is a small profile for unit tests (one seed, short horizon).

@@ -250,6 +250,70 @@ func TestServedReportMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestServedReportFigsMatchBatch: concurrent report runs that differ
+// only in their overlays share the daemon's figure memo (each figure
+// runs once, every other lookup hits), and every served set is still
+// the bytes of a fresh batch build (which has no memo) of the same
+// spec.
+func TestServedReportFigsMatchBatch(t *testing.T) {
+	specs := []string{
+		`{"report":{"figs":["fig10","thm2"]},"stoch":"geo","stoch_seed":1}`,
+		`{"report":{"figs":["fig10","thm2"]},"stoch":"geo","stoch_seed":2}`,
+		`{"report":{"figs":["fig10","thm2"]},"stoch":"geo","stoch_seed":3}`,
+		`{"report":{"figs":["fig10","thm2"]},"faults":"light"}`,
+	}
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	// Queue every spec before reading any feed, so both workers run
+	// report builds at once and race on the memo's first misses.
+	ids := make([]string, len(specs))
+	for i, src := range specs {
+		status, doc := submit(t, ts, src)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d, body %v", src, status, doc)
+		}
+		ids[i], _ = doc["id"].(string)
+	}
+	for i, src := range specs {
+		events := streamEvents(t, ts, ids[i])
+		if final := events[len(events)-1]; final.Kind != string(StateDone) {
+			t.Fatalf("run %s: final event %q (error %q), want done", src, final.Kind, final.Error)
+		}
+		served := fetchArtifacts(t, ts, ids[i])
+		spec := mustDecode(t, src)
+		p, err := spec.BuildProfile(1)
+		if err != nil {
+			t.Fatalf("BuildProfile: %v", err)
+		}
+		set, err := artifact.BuildReportSet(p, spec.Report.Figs, false)
+		if err != nil {
+			t.Fatalf("BuildReportSet %s: %v", src, err)
+		}
+		want := map[string][]byte{}
+		for _, f := range set.Files {
+			want[f.Name] = f.Data
+		}
+		diffArtifacts(t, src, served, want)
+	}
+
+	st := srv.Stats() // four runs × two figures
+	if st.FigMemoMisses != 2 || st.FigMemoHits != 6 || st.FigMemoEntries != 2 {
+		t.Errorf("fig memo hits/misses/entries = %d/%d/%d, want 6/2/2",
+			st.FigMemoHits, st.FigMemoMisses, st.FigMemoEntries)
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/statz")
+	if err != nil {
+		t.Fatalf("GET statz: %v", err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("decode statz: %v", err)
+	}
+	if doc["fig_memo_hits"] != float64(6) {
+		t.Errorf("statz fig_memo_hits = %v, want 6", doc["fig_memo_hits"])
+	}
+}
+
 // TestServedBytesInvariantAcrossJobs: two daemons configured with
 // different per-run parallelism serve identical bytes for one spec.
 func TestServedBytesInvariantAcrossJobs(t *testing.T) {

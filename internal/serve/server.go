@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/artifact"
+	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/rtime"
@@ -172,6 +173,12 @@ type Stats struct {
 	Draining      bool `json:"draining"`
 
 	Cache CacheStats `json:"cache"`
+
+	// Report-figure memo counters (experiment.FigMemoStats). Flat and
+	// prefixed so they never read as the result cache's "hits"/"misses".
+	FigMemoHits    int64 `json:"fig_memo_hits"`
+	FigMemoMisses  int64 `json:"fig_memo_misses"`
+	FigMemoEntries int   `json:"fig_memo_entries"`
 }
 
 // cache is the bounded result cache: FIFO eviction over exact keys.
@@ -230,6 +237,11 @@ type Server struct {
 	shedAll  bool // drain deadline passed: shed instead of execute
 	cache    cache
 
+	// figs memoizes report figure tables across runs. A spec names only
+	// the quick or full profile, so it holds at most 2 × |Registry|
+	// entries and needs no bound of its own.
+	figs *experiment.FigMemo
+
 	rejected int64
 	done     int64
 	failed   int64
@@ -255,6 +267,7 @@ func New(cfg Config) *Server {
 		queue: make(chan *Run, cfg.Queue),
 		runs:  map[string]*Run{},
 		cache: cache{max: cfg.Cache, entries: map[string][]report.File{}},
+		figs:  new(experiment.FigMemo),
 	}
 	s.routes()
 	s.wg.Add(cfg.Workers)
@@ -333,6 +346,7 @@ func (s *Server) RunIDs() []string {
 
 // Stats snapshots the daemon counters.
 func (s *Server) Stats() Stats {
+	fm := s.figs.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
@@ -351,6 +365,7 @@ func (s *Server) Stats() Stats {
 			Hits: s.cache.hits, Misses: s.cache.misses,
 			Size: len(s.cache.entries), Cap: s.cache.max,
 		},
+		FigMemoHits: fm.Hits, FigMemoMisses: fm.Misses, FigMemoEntries: fm.Entries,
 	}
 }
 
@@ -450,6 +465,7 @@ func (s *Server) buildArtifacts(run *Run) ([]report.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.FigMemo = s.figs // moves no byte: see experiment.FigMemo
 	var files []report.File
 	if spec.Trace != nil {
 		t := spec.Trace
