@@ -158,6 +158,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./cmd/benchdiff
 	$(GO) test -run NONE -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME) ./internal/trace/span
+	$(GO) test -run NONE -fuzz '^FuzzPerfettoMatchesOracle$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz '^FuzzStepConservation$$' -fuzztime $(FUZZTIME) ./internal/task
 	$(GO) test -run NONE -fuzz '^FuzzValidateNoPanic$$' -fuzztime $(FUZZTIME) ./internal/task
 	$(GO) test -run NONE -fuzz '^FuzzGenerateSatisfiesSpec$$' -fuzztime $(FUZZTIME) ./internal/uam

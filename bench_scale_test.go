@@ -12,6 +12,10 @@
 //	                              modes, observed by an obs.Pipeline
 //	BenchmarkBuildMetricsQuick  → the quick -metrics digest at Jobs 1, as
 //	                              rtsimd's warm-up request builds it
+//	BenchmarkBuildReportSetQuick → a served fig10+thm2 report: canonical
+//	                              runs plus page and CSV rendering
+//	BenchmarkBuildTracePerfettoQuick → a served Perfetto trace with a
+//	                              flight recorder: one run plus export
 //
 // The timing wheel's before/after pair lives next to it in
 // internal/rtime/wheel (BenchmarkWheelChurn vs BenchmarkRefChurn).
@@ -23,6 +27,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/experiment"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/metrics/series"
 	"repro/internal/obs"
@@ -31,6 +36,7 @@ import (
 	"repro/internal/rua"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stoch"
 	"repro/internal/task"
 	"repro/internal/trace/span"
 	"repro/internal/uam"
@@ -207,4 +213,58 @@ func BenchmarkBuildMetricsQuick(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBuildReportSetQuick builds the report set of a served
+// {"stoch":"geo","report":{"figs":["fig10","thm2"]}} request: the
+// canonical runs and every CSV and report.html, with the figure tables
+// served from a warm FigMemo as the daemon's are. out-B/op is the
+// rendered artifact bytes.
+func BenchmarkBuildReportSetQuick(b *testing.B) {
+	p := experiment.Quick
+	p.Jobs = 1
+	p.Stoch = stoch.Geo()
+	p.FigMemo = new(experiment.FigMemo)
+	figs := []string{"fig10", "thm2"}
+	if _, err := artifact.BuildReportSet(p, figs, false); err != nil { // warms the memo
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var out int
+	for i := 0; i < b.N; i++ {
+		set, err := artifact.BuildReportSet(p, figs, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = 0
+		for _, f := range set.Files {
+			out += len(f.Data)
+		}
+	}
+	b.ReportMetric(float64(out), "out-B/op")
+}
+
+// BenchmarkBuildTracePerfettoQuick builds the trace of a served
+// {"faults":"light","trace":{"format":"perfetto","flight":256}}
+// request: one uniprocessor lock-free run, its Perfetto export and the
+// flight dump. out-B/op is the trace plus dump bytes.
+func BenchmarkBuildTracePerfettoQuick(b *testing.B) {
+	p := experiment.Quick
+	p.Jobs = 1
+	p.Fault = fault.Light()
+	o := artifact.TraceOptions{
+		Sim: experiment.TraceSimUni, Mode: artifact.ModeLockFree,
+		Format: artifact.FormatPerfetto, Flight: 256,
+	}
+	b.ReportAllocs()
+	var out int
+	for i := 0; i < b.N; i++ {
+		tr, err := artifact.BuildTrace(p, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = len(tr.Data) + len(tr.FlightDump)
+	}
+	b.ReportMetric(float64(out), "out-B/op")
 }

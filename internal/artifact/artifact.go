@@ -119,7 +119,6 @@ func BuildTrace(p experiment.Profile, o TraceOptions) (*Trace, error) {
 	rec := trace.NewRecorder(o.Limit)
 	observer := rec.Record
 	var pipe *obs.Pipeline
-	var dumpErr error
 	if o.Flight > 0 || o.Progress != nil || o.OnProgress != nil {
 		cpus := 1
 		if o.Sim != experiment.TraceSimUni {
@@ -146,10 +145,7 @@ func BuildTrace(p experiment.Profile, o TraceOptions) (*Trace, error) {
 				// Snapshot the ring the moment the anomaly happens: the
 				// window ends at the event that tripped it.
 				t.FlightLen, t.FlightDropped = pipe.Flight().Len(), pipe.Flight().Dropped()
-				var b bytes.Buffer
-				if dumpErr = pipe.Flight().WritePerfetto(&b); dumpErr == nil {
-					t.FlightDump = b.Bytes()
-				}
+				t.FlightDump = pipe.Flight().AppendPerfetto(nil)
 			}
 		}
 		if pipe, err = obs.NewPipeline(cfg); err != nil {
@@ -166,9 +162,6 @@ func BuildTrace(p experiment.Profile, o TraceOptions) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if dumpErr != nil {
-			return nil, fmt.Errorf("flight dump: %w", dumpErr)
-		}
 		t.Trigger, t.TriggerAt = res.Trigger, res.TriggerAt
 	}
 
@@ -177,18 +170,19 @@ func BuildTrace(p experiment.Profile, o TraceOptions) (*Trace, error) {
 	switch o.Format {
 	case FormatJSON:
 		err = trace.WriteJSON(&buf, events)
+		t.Data = buf.Bytes()
 	case FormatPerfetto:
-		err = trace.WritePerfetto(&buf, events)
+		t.Data = trace.AppendPerfetto(nil, events)
 	case FormatSpans:
 		var spans []span.JobSpan
 		if spans, err = span.Build(events, horizon); err == nil {
 			err = span.WriteText(&buf, spans)
+			t.Data = buf.Bytes()
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	t.Data = buf.Bytes()
 	t.Events = len(events)
 	t.Dropped = rec.Dropped()
 	t.Counts = trace.Summary(events)
@@ -244,11 +238,11 @@ func BuildReportSet(p experiment.Profile, figIDs []string, _ bool) (*ReportSet, 
 	if err != nil {
 		return nil, err
 	}
-	var html bytes.Buffer
-	if err := rep.WriteHTML(&html); err != nil {
+	html, err := rep.HTML()
+	if err != nil {
 		return nil, err
 	}
-	files = append(files, report.File{Name: "report.html", Data: html.Bytes()})
+	files = append(files, report.File{Name: "report.html", Data: html})
 	return &ReportSet{Files: files, Runs: len(rep.Runs), Figs: len(rep.Figs)}, nil
 }
 

@@ -7,67 +7,53 @@ import (
 )
 
 // Flight is a bounded flight recorder: a fixed-capacity ring buffer
-// retaining the last N observed events, overwriting the oldest, with an
-// exact count of everything overwritten. It is the always-on, bounded
-// complement to trace.Recorder — cheap enough to leave attached to a
-// 10⁵-task run, yet holding exactly the post-mortem context wanted when
-// something goes wrong (the Pipeline dumps it on the first bound
-// violation, shed, or fault-induced abort).
+// (trace.Ring) retaining the last N observed events, overwriting the
+// oldest, with an exact count of everything overwritten. It is the
+// always-on, bounded complement to an unbounded trace.Recorder — cheap
+// enough to leave attached to a 10⁵-task run, yet holding exactly the
+// post-mortem context wanted when something goes wrong (the Pipeline
+// dumps it on the first bound violation, shed, or fault-induced abort).
 type Flight struct {
-	buf  []trace.Event
-	next int   // ring cursor: index the next event lands in
-	n    int64 // total events ever observed
+	ring *trace.Ring
 }
 
 // NewFlight returns a recorder retaining the last capacity events;
 // capacity is clamped to ≥ 1.
 func NewFlight(capacity int) *Flight {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Flight{buf: make([]trace.Event, 0, capacity)}
+	return &Flight{ring: trace.NewRing(max(capacity, 1))}
 }
 
 // Observe records one event, overwriting the oldest once full.
-func (f *Flight) Observe(e trace.Event) {
-	if len(f.buf) < cap(f.buf) {
-		f.buf = append(f.buf, e)
-	} else {
-		f.buf[f.next] = e
-	}
-	f.next++
-	if f.next == cap(f.buf) {
-		f.next = 0
-	}
-	f.n++
-}
+func (f *Flight) Observe(e trace.Event) { f.ring.Push(e) }
 
 // Len returns the number of retained events (≤ Cap).
-func (f *Flight) Len() int { return len(f.buf) }
+func (f *Flight) Len() int { return f.ring.Len() }
 
 // Cap returns the ring capacity.
-func (f *Flight) Cap() int { return cap(f.buf) }
+func (f *Flight) Cap() int { return f.ring.Cap() }
 
 // Total returns how many events were ever observed.
-func (f *Flight) Total() int64 { return f.n }
+func (f *Flight) Total() int64 { return f.ring.Total() }
 
 // Dropped returns exactly how many events were overwritten.
-func (f *Flight) Dropped() int64 { return f.n - int64(len(f.buf)) }
+func (f *Flight) Dropped() int64 { return f.ring.Dropped() }
 
 // Events returns the retained events oldest-first (a fresh slice; the
 // ring keeps recording).
 func (f *Flight) Events() []trace.Event {
-	out := make([]trace.Event, 0, len(f.buf))
-	if len(f.buf) == cap(f.buf) {
-		out = append(out, f.buf[f.next:]...)
-	}
-	return append(out, f.buf[:f.next]...)
+	return append(make([]trace.Event, 0, f.Len()), f.ring.Events()...)
 }
 
-// WritePerfetto dumps the retained window as a Perfetto-format
-// post-mortem. Spans whose arrivals were overwritten render as
+// AppendPerfetto appends the retained window as a Perfetto-format
+// post-mortem to dst. Spans whose arrivals were overwritten render as
 // partial timelines — the point of a flight recorder is the final
 // window, not the full history.
+func (f *Flight) AppendPerfetto(dst []byte) []byte {
+	return trace.AppendPerfetto(dst, f.ring.Events())
+}
+
+// WritePerfetto writes the post-mortem AppendPerfetto renders to w.
 func (f *Flight) WritePerfetto(w io.Writer) error {
-	return trace.WritePerfetto(w, f.Events())
+	_, err := w.Write(f.AppendPerfetto(nil))
+	return err
 }

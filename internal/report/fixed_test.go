@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzFixedMatchesStrconv: formatFixed is byte-identical to
-// strconv.FormatFloat(v, 'f', p, 64) at the report's two precisions.
+// FuzzFixedMatchesStrconv: formatFixed, and appendFixed after a
+// prefix, are byte-identical to strconv.FormatFloat(v, 'f', p, 64) at
+// the report's two precisions.
 func FuzzFixedMatchesStrconv(f *testing.F) {
 	for _, v := range []float64{
 		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
@@ -23,6 +24,9 @@ func FuzzFixedMatchesStrconv(f *testing.F) {
 		for _, p := range []int{2, 4} {
 			if got, want := formatFixed(v, p), strconv.FormatFloat(v, 'f', p, 64); got != want {
 				t.Fatalf("formatFixed(%v, %d) = %q, strconv says %q", v, p, got, want)
+			}
+			if got, want := string(appendFixed([]byte("x,"), v, p)), "x,"+strconv.FormatFloat(v, 'f', p, 64); got != want {
+				t.Fatalf("appendFixed(\"x,\", %v, %d) = %q, want %q", v, p, got, want)
 			}
 		}
 	})

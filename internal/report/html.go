@@ -116,7 +116,7 @@ func figChart(t *Table) (*Chart, string) {
 	if len(ser) == 0 {
 		return nil, ""
 	}
-	c := LineChart(t.Title, xs, ser, t.Columns[0], "")
+	c := newLineChart(t.Title, xs, ser, t.Columns[0], "")
 	note := ""
 	if len(skipped) > 0 {
 		note = "table-only columns (chart caps at 4 series): " + strings.Join(skipped, ", ")
@@ -154,8 +154,8 @@ func (r *Run) seriesCharts() []Chart {
 		events[3].Vals[i] = float64(p.Completions)
 	}
 	return []Chart{
-		LineChart("queue depth and processor occupancy over virtual time", xs, level, "ms", "level"),
-		LineChart("events per window over virtual time", xs, events, "ms", "events"),
+		newLineChart("queue depth and processor occupancy over virtual time", xs, level, "ms", "level"),
+		newLineChart("events per window over virtual time", xs, events, "ms", "events"),
 	}
 }
 
@@ -176,7 +176,7 @@ func predChart(run *Run) (*Chart, string) {
 		ser[0].Vals[i] = float64(p.Observed)
 		ser[1].Vals[i] = p.Predicted
 	}
-	c := LineChart("throughput: observed vs analytic prediction", xs, ser, "ms", "commits")
+	c := newLineChart("throughput: observed vs analytic prediction", xs, ser, "ms", "commits")
 	note := "fit busy/commit = " + fmtFloat(o.Fit.Alpha) + " + " + fmtFloat(o.Fit.Beta) +
 		"·(retries/commit) over " + strconv.Itoa(o.Fit.Windows) +
 		" windows · relative error " + fmtFloat(o.RelErr)
@@ -238,7 +238,7 @@ func (r *Report) buildPage() *page {
 			}
 			rv.Dists = append(rv.Dists, distView{
 				Title: d.Title,
-				Chart: HistChart(d),
+				Chart: newHistChart(d),
 				Summary: []string{
 					strconv.FormatInt(s.N, 10), fmtFloat(s.Mean),
 					strconv.FormatInt(s.P50, 10), strconv.FormatInt(s.P90, 10),
@@ -286,11 +286,16 @@ func taskTable(run *Run) *Table {
 	return t
 }
 
-// htmlTmpl is the whole page. Colors are the validated reference
-// palette: categorical slots in fixed order, status-critical reserved
-// for bound lines and violations, chrome inks recessive, dark mode a
-// selected set of steps rather than an automatic flip.
-var htmlTmpl = template.Must(template.New("report").Parse(`<!DOCTYPE html>
+// htmlTmpl is the whole page but its charts, as named blocks that
+// appendHTML executes in page order, appending each chart's SVG between
+// a block that ends with its legend and the one that closes its card.
+// html/template still escapes every text and attribute value, and each
+// block starts and ends in HTML text, where an SVG may sit. Colors are
+// the validated reference palette: categorical slots in fixed order,
+// status-critical reserved for bound lines and violations, chrome inks
+// recessive, dark mode a selected set of steps rather than an automatic
+// flip.
+var htmlTmpl = template.Must(template.New("report").Parse(`{{define "head"}}<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
@@ -380,34 +385,33 @@ svg { max-width: 100%; height: auto; display: block; }
 {{range .Summary.Rows}}<tr>{{range .}}<td>{{.}}</td>{{end}}</tr>
 {{end}}</table></div>
 
-{{range .Runs}}
+{{end}}{{define "run"}}
 <h2 id="{{.Name}}">{{.Name}}</h2>
 <p class="caption">{{.Caption}}</p>
 <div class="tiles">{{range .Tiles}}<div class="tile"><div class="v">{{.Value}}</div><div class="l">{{.Label}}</div></div>{{end}}</div>
 {{if .Violations}}<p class="viol">bound violations</p><ul class="viol-list">{{range .Violations}}<li>{{.}}</li>{{end}}</ul>{{end}}
-{{range .Dists}}
+{{end}}{{define "dist-open"}}
 <h3>{{.Title}}{{if .Bounded}}{{if .Held}} <span class="ok">· bound held</span>{{else}} <span class="viol">· bound exceeded</span>{{end}}{{end}}</h3>
 <div class="card">
 <div class="legend">{{range .Chart.Legend}}<span><span class="chip c-{{.Class}}"></span>{{.Label}}</span>{{end}}</div>
-{{.Chart.SVG}}
+{{end}}{{define "dist-close"}}
 <table><tr><th>n</th><th>mean</th><th>p50</th><th>p90</th><th>p95</th><th>p99</th><th>p999</th><th>max</th><th>bound</th></tr>
 <tr>{{range .Summary}}<td>{{.}}</td>{{end}}</tr></table>
 </div>
-{{end}}
-{{range .Charts}}
+{{end}}{{define "nl"}}
+{{end}}{{define "chart-open"}}
 <div class="card">
 <div class="legend">{{range .Legend}}<span><span class="chip c-{{.Class}}"></span>{{.Label}}</span>{{end}}</div>
-{{.SVG}}
+{{end}}{{define "chart-close"}}
 </div>
-{{end}}
-{{if .Pred}}
+{{end}}{{define "pred-open"}}
 <h3>throughput: observed vs analytic prediction</h3>
 <div class="card">
 <div class="legend">{{range .Pred.Legend}}<span><span class="chip c-{{.Class}}"></span>{{.Label}}</span>{{end}}</div>
-{{.Pred.SVG}}
+{{end}}{{define "pred-close"}}
 <p class="caption">{{.PredNote}}</p>
 </div>
-{{end}}
+{{end}}{{define "run-tail"}}
 {{if .OpTable}}
 <h3>{{.OpTable.Title}}</h3>
 <div class="card"><table>
@@ -422,15 +426,15 @@ svg { max-width: 100%; height: auto; display: block; }
 {{range .Tasks.Rows}}<tr>{{range .}}<td>{{.}}</td>{{end}}</tr>
 {{end}}</table></div>
 {{end}}
-{{end}}
+{{end}}{{define "runs-end"}}
 
-{{range .Figs}}
+{{end}}{{define "fig-open"}}
 <h2 id="{{.Table.ID}}">{{.Table.ID}} — {{.Table.Title}}</h2>
 {{if .Table.Note}}<p class="caption">{{.Table.Note}}</p>{{end}}
 {{if .Chart}}
 <div class="card">
 <div class="legend">{{range .Chart.Legend}}<span><span class="chip c-{{.Class}}"></span>{{.Label}}</span>{{end}}</div>
-{{.Chart.SVG}}
+{{end}}{{end}}{{define "fig-close"}}{{if .Chart}}
 {{if .Note}}<p class="caption">{{.Note}}</p>{{end}}
 </div>
 {{end}}
@@ -438,14 +442,163 @@ svg { max-width: 100%; height: auto; display: block; }
 <tr>{{range .Table.Columns}}<th>{{.}}</th>{{end}}</tr>
 {{range .Table.Rows}}<tr>{{range .}}<td>{{.}}</td>{{end}}</tr>
 {{end}}</table></div>
-{{end}}
+{{end}}{{define "figs-end"}}
 
 </main>
 </body>
 </html>
-`))
+{{end}}`))
 
-// WriteHTML renders the report as one self-contained page.
+// htmlBlocks are htmlTmpl's named blocks, looked up once.
+var htmlBlocks = func() map[string]*template.Template {
+	m := map[string]*template.Template{}
+	for _, t := range htmlTmpl.Templates() {
+		m[t.Name()] = t
+	}
+	return m
+}()
+
+// pageWriter appends whatever is written to it to one buffer, the page
+// the charts are appended to as well.
+type pageWriter struct{ b []byte }
+
+func (w *pageWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// appendHTML appends the page to dst: htmlTmpl's blocks in order, each
+// chart's SVG between the block that opens its card and the one that
+// closes it.
+func (p *page) appendHTML(dst []byte) ([]byte, error) {
+	w := &pageWriter{b: dst}
+	var err error
+	exec := func(name string, data any) {
+		if err == nil {
+			err = htmlBlocks[name].Execute(w, data)
+		}
+	}
+	chart := func(open, close string, c *Chart, data any) {
+		exec(open, data)
+		w.b = c.appendSVG(w.b)
+		exec(close, data)
+	}
+	exec("head", p)
+	for i := range p.Runs {
+		rv := &p.Runs[i]
+		exec("run", rv)
+		for j := range rv.Dists {
+			d := &rv.Dists[j]
+			chart("dist-open", "dist-close", &d.Chart, d)
+		}
+		exec("nl", nil)
+		for j := range rv.Charts {
+			c := &rv.Charts[j]
+			chart("chart-open", "chart-close", c, c)
+		}
+		exec("nl", nil)
+		if rv.Pred != nil {
+			chart("pred-open", "pred-close", rv.Pred, rv)
+		}
+		exec("run-tail", rv)
+	}
+	exec("runs-end", nil)
+	for i := range p.Figs {
+		f := &p.Figs[i]
+		exec("fig-open", f)
+		if f.Chart != nil {
+			w.b = f.Chart.appendSVG(w.b)
+		}
+		exec("fig-close", f)
+	}
+	exec("figs-end", nil)
+	return w.b, err
+}
+
+// Page size estimates, in the spirit of svgSize: the fixed head, and
+// the markup around one run, chart, legend chip, table and cell.
+const (
+	pageHeadLen  = 5200
+	pageRunLen   = 900
+	pageChartLen = 120
+	pageChipLen  = 70
+	pageTableLen = 120
+	pageCellLen  = 10
+)
+
+// size estimates appendHTML's output length from the page's point,
+// bucket, row and cell counts, so one allocation holds the page.
+func (p *page) size() int {
+	n := pageHeadLen + len(p.Title) + len(p.Subtitle) + tableSize(p.Summary)
+	addChart := func(c *Chart) {
+		n += pageChartLen + c.svgSize()
+		for _, l := range c.Legend {
+			n += pageChipLen + len(l.Label)
+		}
+	}
+	for i := range p.Runs {
+		rv := &p.Runs[i]
+		n += pageRunLen + 2*len(rv.Name) + len(rv.Caption) + len(rv.PredNote) +
+			tableSize(rv.OpTable) + tableSize(rv.Tasks)
+		for _, v := range rv.Violations {
+			n += pageCellLen + len(v)
+		}
+		for j := range rv.Dists {
+			d := &rv.Dists[j]
+			addChart(&d.Chart)
+			n += pageTableLen + len(d.Title) + len(d.Summary)*pageCellLen
+			for _, c := range d.Summary {
+				n += len(c)
+			}
+		}
+		for j := range rv.Charts {
+			addChart(&rv.Charts[j])
+		}
+		if rv.Pred != nil {
+			addChart(rv.Pred)
+		}
+	}
+	for i := range p.Figs {
+		f := &p.Figs[i]
+		n += tableSize(f.Table) + 2*len(f.Table.ID) + len(f.Table.Note) + len(f.Note)
+		if f.Chart != nil {
+			addChart(f.Chart)
+		}
+	}
+	return n
+}
+
+// tableSize estimates one table's rendered length.
+func tableSize(t *Table) int {
+	if t == nil {
+		return 0
+	}
+	n := pageTableLen + len(t.Title) + len(t.Columns)*pageCellLen
+	for _, c := range t.Columns {
+		n += len(c)
+	}
+	for _, row := range t.Rows {
+		n += pageCellLen + len(row)*pageCellLen
+		for _, c := range row {
+			n += len(c)
+		}
+	}
+	return n
+}
+
+// HTML renders the report as one self-contained page, into a buffer
+// presized from its point and row counts.
+func (r *Report) HTML() ([]byte, error) {
+	p := r.buildPage()
+	return p.appendHTML(make([]byte, 0, p.size()))
+}
+
+// WriteHTML writes the page HTML renders to w.
 func (r *Report) WriteHTML(w io.Writer) error {
-	return htmlTmpl.Execute(w, r.buildPage())
+	b, err := r.HTML()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }

@@ -123,45 +123,39 @@ func (e Event) String() string {
 // Recorder accumulates events. It is not safe for concurrent use; the
 // simulator is single-goroutine by design.
 type Recorder struct {
-	events  []Event
-	limit   int
-	dropped int64
+	ring *Ring
 }
 
 // NewRecorder returns a recorder keeping at most limit events (0 means
-// unbounded).
-func NewRecorder(limit int) *Recorder { return &Recorder{limit: limit} }
+// unbounded). A bounded recorder keeps the last limit events in a Ring,
+// so its memory stops growing at limit events however long the run.
+func NewRecorder(limit int) *Recorder { return &Recorder{ring: NewRing(limit)} }
 
 // Record appends an event, dropping the oldest past the limit.
-func (r *Recorder) Record(e Event) {
-	r.events = append(r.events, e)
-	if r.limit > 0 && len(r.events) > r.limit {
-		r.dropped += int64(len(r.events) - r.limit)
-		r.events = r.events[len(r.events)-r.limit:]
-	}
-}
+func (r *Recorder) Record(e Event) { r.ring.Push(e) }
 
 // Dropped returns how many events the limit has discarded. A non-zero
 // count means Events is a suffix of the run: consumers that need every
 // event (span.Build, series/ops folds) were silently starved before
 // this counter existed — check it before trusting derived artifacts.
-func (r *Recorder) Dropped() int64 { return r.dropped }
+func (r *Recorder) Dropped() int64 { return r.ring.Dropped() }
 
 // Observer returns the recorder's Record method bound as a callback.
 func (r *Recorder) Observer() func(Event) { return r.Record }
 
-// Events returns the recorded events in order.
-func (r *Recorder) Events() []Event { return r.events }
+// Events returns the recorded events in order. The slice aliases the
+// recorder's storage: recording further events may change it.
+func (r *Recorder) Events() []Event { return r.ring.Events() }
 
 // Len returns the number of retained events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return r.ring.Len() }
 
 // CountByKind tallies events per kind. The result is a map, so callers
 // that PRINT counts must not range over it — render KindCounts instead,
 // which is deterministically ordered.
 func (r *Recorder) CountByKind() map[Kind]int {
 	m := map[Kind]int{}
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		m[e.Kind]++
 	}
 	return m
@@ -195,7 +189,7 @@ func KindCounts(events []Event) []KindCount {
 
 // KindCounts tallies the recorder's events; see the package-level
 // KindCounts.
-func (r *Recorder) KindCounts() []KindCount { return KindCounts(r.events) }
+func (r *Recorder) KindCounts() []KindCount { return KindCounts(r.Events()) }
 
 // Summary renders the per-kind tally as one deterministic line, e.g.
 // "arrive=4 dispatch=9 commit=6 complete=4".
@@ -212,7 +206,7 @@ func Summary(events []Event) string {
 
 // Summary renders the recorder's per-kind tally; see the package-level
 // Summary.
-func (r *Recorder) Summary() string { return Summary(r.events) }
+func (r *Recorder) Summary() string { return Summary(r.Events()) }
 
 // WriteJSON streams events as a JSON array of objects with microsecond
 // timestamps — a stable format for external tooling (trace viewers,
@@ -249,12 +243,12 @@ func WriteJSON(w io.Writer, events []Event) error {
 
 // WriteJSON streams the recorder's events; see the package-level
 // WriteJSON.
-func (r *Recorder) WriteJSON(w io.Writer) error { return WriteJSON(w, r.events) }
+func (r *Recorder) WriteJSON(w io.Writer) error { return WriteJSON(w, r.Events()) }
 
 // Log renders the full event log, one line per event.
 func (r *Recorder) Log() string {
 	var b strings.Builder
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
@@ -282,8 +276,9 @@ func (r *Recorder) Timeline(from, to rtime.Time, width int) string {
 		slice = 1
 	}
 	// Collect task ids (scheduler-level events carry no task).
+	events := r.Events()
 	taskSet := map[int]bool{}
-	for _, e := range r.events {
+	for _, e := range events {
 		if e.Task >= 0 {
 			taskSet[e.Task] = true
 		}
@@ -336,7 +331,7 @@ func (r *Recorder) Timeline(from, to rtime.Time, width int) string {
 			prevCol = upto
 		}
 	}
-	for _, e := range r.events {
+	for _, e := range events {
 		if e.At < from || e.At >= to || e.Task < 0 {
 			continue
 		}
